@@ -113,6 +113,26 @@ def _invert_matrix(m: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in a)
 
 
+def _adjugate(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, det) with m . adj = det . 1, all integers.
+
+    det comes from fraction-free (Bareiss) elimination; no pivoting is needed,
+    as every leading principal minor of a finite-type Cartan matrix is positive.
+    """
+    n = len(m)
+    a = [list(row) for row in m]
+    prev = 1
+    for k in range(n - 1):
+        assert a[k][k] > 0, "leading principal minor of a Cartan matrix must be positive"
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    adj = tuple(tuple(int(x * det) for x in row) for row in _invert_matrix(m))
+    return adj, det
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Immutable tables for a finite simple root system."""
@@ -121,7 +141,8 @@ class RootSystem:
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    cartan_inv: tuple[tuple[Fraction, ...], ...]
+    cartan_adj: tuple[tuple[int, ...], ...]  # adjugate: cartan^{-1} = cartan_adj / cartan_det
+    cartan_det: int
     positive_roots: tuple[RootVec, ...]
     coroot_table: dict[RootVec, CorootVec]
     theta: RootVec
@@ -131,9 +152,14 @@ class RootSystem:
     marks: tuple[int, ...]      # indexed by I_af = (0, 1..rank)
     comarks: tuple[int, ...]
     weyl_order: int
-    # images of simple roots / coroots under each simple reflection
-    refl_root_mats: tuple[tuple[tuple[int, ...], ...], ...]
-    refl_coroot_mats: tuple[tuple[tuple[int, ...], ...], ...]
+    # the fixed root order of the Weyl group's permutation model: the
+    # positive roots, then their negatives in the same order
+    roots: tuple[RootVec, ...]
+    root_index: dict[RootVec, int]
+    coroots: tuple[CorootVec, ...]  # coroots[k] is the coroot of roots[k]
+    coroot_index: dict[CorootVec, int]
+    simple_index: tuple[int, ...]  # simple_index[i] is the index of alpha_i
+    simple_perms: tuple[tuple[int, ...], ...]  # r_i as a permutation of the root indices
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __hash__(self):
@@ -178,15 +204,18 @@ class RootSystem:
     # -- basis conversions ----------------------------------------------
     def weight_to_root_basis(self, mu: WeightVec) -> tuple[Fraction, ...]:
         """Coordinates of mu in the simple-root basis (rational in general)."""
-        inv = self.cartan_inv
-        return tuple(sum(inv[i][j] * mu[j] for j in range(self.rank)) for i in range(self.rank))
+        return tuple(Fraction(sum(a * m for a, m in zip(row, mu)), self.cartan_det) for row in self.cartan_adj)
 
     def root_lattice_check(self, mu: WeightVec) -> RootVec:
         """mu as an integral RootVec; raises if mu is not in the root lattice."""
-        coords = self.weight_to_root_basis(mu)
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError(f"{mu} does not lie in the root lattice of {self.label}")
-        return tuple(int(c) for c in coords)
+        det = self.cartan_det
+        out = []
+        for row in self.cartan_adj:
+            q, r = divmod(sum(a * m for a, m in zip(row, mu)), det)
+            if r:
+                raise ValueError(f"{mu} does not lie in the root lattice of {self.label}")
+            out.append(q)
+        return tuple(out)
 
     def root_to_weight_basis(self, v: RootVec) -> WeightVec:
         """alpha-basis vector rewritten in the fundamental-weight basis."""
@@ -226,28 +255,15 @@ def build(label: str) -> RootSystem:
         family = "A"  # B1 = C1 = A1
     cartan = _cartan_matrix(family, rank)
 
-    # simple reflection matrices: columns are images of basis vectors
-    def root_mat(i):
-        cols = []
-        for j in range(rank):
-            col = [int(k == j) for k in range(rank)]
-            col[i] -= cartan[i][j]
-            cols.append(col)
-        return tuple(tuple(cols[j][k] for j in range(rank)) for k in range(rank))
+    def reflect_root(i, alpha):
+        # r_i alpha = alpha - <alpha_i^vee, alpha> alpha_i
+        p = sum(c * a for c, a in zip(cartan[i], alpha))
+        return tuple(a - p * int(k == i) for k, a in enumerate(alpha))
 
-    def coroot_mat(i):
-        cols = []
-        for j in range(rank):
-            col = [int(k == j) for k in range(rank)]
-            col[i] -= cartan[j][i]
-            cols.append(col)
-        return tuple(tuple(cols[j][k] for j in range(rank)) for k in range(rank))
-
-    refl_root = tuple(root_mat(i) for i in range(rank))
-    refl_coroot = tuple(coroot_mat(i) for i in range(rank))
-
-    def apply_mat(m, v):
-        return tuple(sum(m[k][j] * v[j] for j in range(rank)) for k in range(rank))
+    def reflect_coroot(i, avee):
+        # r_i beta^vee = beta^vee - <beta^vee, alpha_i> alpha_i^vee
+        p = sum(cartan[k][i] * c for k, c in enumerate(avee))
+        return tuple(c - p * int(k == i) for k, c in enumerate(avee))
 
     # closure of the simple roots under simple reflections, coroots in parallel
     coroot_table: dict[RootVec, CorootVec] = {}
@@ -260,9 +276,9 @@ def build(label: str) -> RootSystem:
         alpha = frontier.pop()
         avee = coroot_table[alpha]
         for i in range(rank):
-            b = apply_mat(refl_root[i], alpha)
+            b = reflect_root(i, alpha)
             if b not in coroot_table:
-                coroot_table[b] = apply_mat(refl_coroot[i], avee)
+                coroot_table[b] = reflect_coroot(i, avee)
                 frontier.append(b)
 
     positive = sorted((a for a in coroot_table if _is_positive_vec(a)), key=lambda a: (sum(a), a))
@@ -276,12 +292,20 @@ def build(label: str) -> RootSystem:
     marks = (1,) + theta
     comarks = (1,) + theta_vee
 
+    roots = tuple(positive) + tuple(tuple(-c for c in a) for a in positive)
+    root_index = {a: k for k, a in enumerate(roots)}
+    coroots = tuple(coroot_table[a] for a in roots)
+    simple_index = tuple(root_index[tuple(int(j == i) for j in range(rank))] for i in range(rank))
+    simple_perms = tuple(tuple(root_index[reflect_root(i, a)] for a in roots) for i in range(rank))
+    adj, det = _adjugate(cartan)
+
     rs = RootSystem(
         label=f"{family}{rank}",
         family=family,
         rank=rank,
         cartan=tuple(tuple(row) for row in cartan),
-        cartan_inv=_invert_matrix(cartan),
+        cartan_adj=adj,
+        cartan_det=det,
         positive_roots=tuple(positive),
         coroot_table=coroot_table,
         theta=theta,
@@ -291,8 +315,12 @@ def build(label: str) -> RootSystem:
         marks=marks,
         comarks=comarks,
         weyl_order=_weyl_order(family, rank),
-        refl_root_mats=refl_root,
-        refl_coroot_mats=refl_coroot,
+        roots=roots,
+        root_index=root_index,
+        coroots=coroots,
+        coroot_index={c: k for k, c in enumerate(coroots)},
+        simple_index=simple_index,
+        simple_perms=simple_perms,
     )
     _check_tables(rs)
     return rs
@@ -307,6 +335,10 @@ def _check_tables(rs: RootSystem) -> None:
                 raise AssertionError("off-diagonal Cartan entry must be <= 0")
     # delta = alpha_0 + theta with mark a_0 = 1
     assert rs.marks[0] == 1 and tuple(rs.marks[1:]) == rs.theta
+    # the adjugate inverts the Cartan matrix up to its determinant
+    for i in range(r):
+        for j in range(r):
+            assert sum(rs.cartan[i][k] * rs.cartan_adj[k][j] for k in range(r)) == rs.cartan_det * int(i == j)
     # every root has a coroot and <alpha^vee, alpha> = 2
     for a, av in rs.coroot_table.items():
         assert rs.pair(av, a) == 2

@@ -4,7 +4,9 @@ Elements are written as reduced words ("r2 r3", "s1", "0 6 2 1 0"; "id" for
 the identity) plus coroot coordinate lists like "-1,0,0".  Output is
 machine-first JSON on stdout (DOT only for `qbg export --dot`); identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1
-verification failure, 2 argument errors.
+verification failure, 2 argument errors (a malformed or out-of-range
+element, or a translation without the superregularity margin the
+computation needs); an exit 2 prints one ``error:`` line on stderr.
 """
 
 import argparse
@@ -15,7 +17,7 @@ from . import cartan, suites
 from .coeffring import q_str
 from .nilhecke import to_json_list
 from .parabolic import build_parabolic, lm_map, partition_to_affine, pi_P_translation, strange_duality
-from .peterson import j_class, pieri_r0, hom_product_basis
+from .peterson import BudgetError, hom_product_basis, j_class, pieri_r0
 from .qbruhat import build_qbg, tilted_distance, tilted_leq, to_dot, to_json_dict
 from .quantum import gw_coefficient, product_basis, pw_lift, schubert_poly
 from .weyl import (
@@ -41,22 +43,35 @@ def _parse_word(text: str):
     return tuple(out)
 
 
-def _parse_coroot(text: str):
-    return tuple(int(t) for t in text.split(","))
+def _parse_coroot(text: str, size: int | None = None):
+    vec = tuple(int(t) for t in text.split(","))
+    if size is not None and len(vec) != size:
+        raise ValueError(f"{text!r} has {len(vec)} coordinates, expected {size}")
+    return vec
+
+
+def _checked_word(rs, text, lowest: int):
+    """A parsed word whose letters must lie in lowest..rank."""
+    word = _parse_word(text)
+    bad = [i for i in word if not lowest <= i <= rs.rank]
+    if bad:
+        raise ValueError(f"letter {bad[0]} in {text!r} is outside {lowest}..{rs.rank} for {rs.label}")
+    return word
 
 
 def _finite_elt(rs, text):
-    word = _parse_word(text)
-    if any(i < 1 or i > rs.rank for i in word):
-        raise SystemExit(2)
-    return from_word(rs, tuple(i - 1 for i in word))
+    return from_word(rs, tuple(i - 1 for i in _checked_word(rs, text, 1)))
+
+
+def _affine_word_elt(rs, text):
+    return affine_from_word(rs, _checked_word(rs, text, 0))
 
 
 def _affine_elt(rs, args):
     if getattr(args, "word", None):
-        return affine_from_word(rs, _parse_word(args.word))
+        return _affine_word_elt(rs, args.word)
     w = _finite_elt(rs, args.w or "id")
-    t = _parse_coroot(args.t) if getattr(args, "t", None) else rs.zero_coroot()
+    t = _parse_coroot(args.t, rs.rank) if getattr(args, "t", None) else rs.zero_coroot()
     return AffineElt(w, t)
 
 
@@ -201,7 +216,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         return _dispatch(args)
-    except ValueError as exc:
+    except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -282,15 +297,15 @@ def _dispatch(args) -> int:
             u = _finite_elt(rs, args.u)
             v = _finite_elt(rs, args.v)
             w = _finite_elt(rs, args.w)
-            c = gw_coefficient(rs, u, v, w, _parse_coroot(args.qexp))
+            c = gw_coefficient(rs, u, v, w, _parse_coroot(args.qexp, rs.rank))
             _emit({"coefficient": str(c)})
         return 0
 
     if args.cmd == "gr":
         rs = cartan.build(args.type)
         if args.sub == "product":
-            x = affine_from_word(rs, _parse_word(args.x))
-            z = affine_from_word(rs, _parse_word(args.z))
+            x = _affine_word_elt(rs, args.x)
+            z = _affine_word_elt(rs, args.z)
             prod = hom_product_basis(rs, x, z)
             if not args.equivariant:
                 out = {json.dumps(serialize(k), sort_keys=True): v.eval_zero() for k, v in prod.items()}
@@ -302,7 +317,7 @@ def _dispatch(args) -> int:
             x = _affine_elt(rs, args)
             _emit({"element": serialize(x), "j": to_json_list(rs, j_class(rs, x))})
         else:
-            x = affine_from_word(rs, _parse_word(args.x))
+            x = _affine_word_elt(rs, args.x)
             img = pieri_r0(rs, {x: 1})
             _emit({json.dumps(serialize(k), sort_keys=True): v for k, v in img.items()})
         return 0
@@ -311,7 +326,7 @@ def _dispatch(args) -> int:
         rs = cartan.build(args.type)
         nodes = [i - 1 for i in _parse_coroot(args.ip)]
         pd = build_parabolic(rs, nodes)
-        x = pi_P_translation(pd, _parse_coroot(args.coroot))
+        x = pi_P_translation(pd, _parse_coroot(args.coroot, rs.rank))
         word = x.w.word()
         _emit({"w": " ".join(f"r{i + 1}" for i in word) or "id", "t": ",".join(str(c) for c in x.t)})
         return 0
@@ -320,7 +335,7 @@ def _dispatch(args) -> int:
         rs = cartan.build(args.type)
         nodes = [i - 1 for i in _parse_coroot(args.ip)]
         pd = build_parabolic(rs, nodes)
-        lam_b, ipp, v = pw_lift(pd, _parse_coroot(args.coset))
+        lam_b, ipp, v = pw_lift(pd, _parse_coroot(args.coset, len(pd.free_nodes)))
         _emit(
             {
                 "lam_B": ",".join(str(c) for c in lam_b),

@@ -26,6 +26,7 @@ from .weyl import (
     is_grassmannian,
     length,
     longest_element,
+    longest_of,
     reflection_of_affine,
     simple_reflection,
     translation,
@@ -50,8 +51,7 @@ class ParabolicData:
 
     def is_minimal_rep(self, w: WeylElt) -> bool:
         """w in W^P: no inversions among the simple roots of I_P... w alpha_j > 0."""
-        rs = self.rs
-        return all(_pos(w.act_root(rs.simple_root(j))) for j in self.nodes)
+        return not any(w.descends(j) for j in self.nodes)
 
     @property
     def _rp_set(self):
@@ -73,7 +73,7 @@ class ParabolicData:
         rs = self.rs
         while True:
             for j in self.nodes:
-                if not _pos(w.act_root(rs.simple_root(j))):
+                if w.descends(j):
                     w = w * simple_reflection(rs, j)
                     break
             else:
@@ -86,24 +86,8 @@ class ParabolicData:
     def pair_two_rho_p(self, avee: CorootVec) -> int:
         return self.rs.pair(avee, self.two_rho_p)
 
-    def longest_of(self, nodeset) -> WeylElt:
-        key = ("w0", tuple(sorted(nodeset)))
-        w0 = self._cache.get(key)
-        if w0 is None:
-            rs = self.rs
-            w0 = weyl_identity(rs)
-            while True:
-                for j in nodeset:
-                    if _pos(w0.act_root(rs.simple_root(j))):
-                        w0 = w0 * simple_reflection(rs, j)
-                        break
-                else:
-                    break
-            self._cache[key] = w0
-        return w0
-
     def longest_wp(self) -> WeylElt:
-        return self.longest_of(self.nodes)
+        return longest_of(self.rs, self.nodes)
 
     # -- component data -----------------------------------------------------
     def component_theta(self, comp: tuple) -> RootVec:
@@ -134,7 +118,7 @@ class ParabolicData:
 
     def v_special(self, comp: tuple, j: int) -> WeylElt:
         """Shortest v in W_{comp} with v omega_j = w_{0,comp} omega_j."""
-        return self.longest_of(comp) * self.longest_of(tuple(k for k in comp if k != j))
+        return longest_of(self.rs, comp) * longest_of(self.rs, [k for k in comp if k != j])
 
     # -- the closed form of pi_P on translations -----------------------------
     def pi_translation_data(self, lam: CorootVec):
@@ -268,12 +252,10 @@ def perp_antidominant(pd: ParabolicData, scale: int = 1) -> CorootVec:
     base = pd._cache.get("perp")
     if base is None:
         rs = pd.rs
-        inv = rs.cartan_inv
-        coords = [sum(inv[i][k] for i in pd.free_nodes) for k in range(rs.rank)]
-        den = 1
-        for c in coords:
-            den = den * c.denominator // gcd(den, c.denominator)
-        base = tuple(int(-den * c) for c in coords)
+        # rows of the adjugate over the free nodes, divided by their gcd
+        coords = [sum(rs.cartan_adj[i][k] for i in pd.free_nodes) for k in range(rs.rank)]
+        g = gcd(*coords, rs.cartan_det)
+        base = tuple(-c // g for c in coords)
         for j in range(rs.rank):
             p = rs.pair(base, rs.simple_root(j))
             assert (p == 0) == (j in pd.nodes) and p <= 0
@@ -373,10 +355,7 @@ def tau(rs: RootSystem, i: int) -> tuple:
     perm = rs._cache.get(key)
     if perm is not None:
         return perm
-    w0 = longest_element(rs)
-    sub = [k for k in range(rs.rank) if k != i - 1]
-    from_parab = _longest_of(rs, sub)
-    vi = w0 * from_parab
+    vi = longest_element(rs) * longest_of(rs, [k for k in range(rs.rank) if k != i - 1])
     out = [None] * (rs.rank + 1)
     for k in range(1, rs.rank + 1):
         img = vi.act_root(rs.simple_root(k - 1))
@@ -391,17 +370,6 @@ def tau(rs: RootSystem, i: int) -> tuple:
     perm = tuple(out)
     rs._cache[key] = perm
     return perm
-
-
-def _longest_of(rs: RootSystem, nodeset) -> WeylElt:
-    w = weyl_identity(rs)
-    while True:
-        for j in nodeset:
-            if _pos(w.act_root(rs.simple_root(j))):
-                w = w * simple_reflection(rs, j)
-                break
-        else:
-            return w
 
 
 def _simple_index(rs: RootSystem, v: RootVec) -> int:

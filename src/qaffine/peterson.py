@@ -26,6 +26,7 @@ from .weyl import (
     length,
     reflection_of,
     superregular_antidominant,
+    superregular_margin,
     translation,
     weyl_identity,
 )
@@ -38,8 +39,10 @@ class BudgetError(RuntimeError):
 
 
 def _require_margin(x: AffineElt, units: int = 1):
-    if not is_superregular(x, slack=4 * units):
-        raise BudgetError(f"superregularity budget exhausted at {x!r}")
+    found = superregular_margin(x)
+    if found < 4 * units:
+        raise BudgetError(f"superregularity budget exhausted at {x!r}: margin needed {4 * units}, found {found} "
+                          f"(pairing units beyond 2|W| + 2)")
 
 
 def _near_covers(rs: RootSystem, x: AffineElt):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cartan import CorootVec, RootSystem, WeightVec
 from .coeffring import Scalar, combo_axpy, scalar_one, weight_diff
-from .weyl import WeylElt, chevalley_terms, enumerate_weyl, positive_root_data, weyl_identity
+from .weyl import WeylElt, chevalley_terms, enumerate_weyl, longest_of, positive_root_data, weyl_identity
 
 QHClass = dict  # (WeylElt, qexp tuple) -> Scalar
 
@@ -124,51 +124,63 @@ def _solve_rational(rows, cols, mat, target):
     return sol
 
 
+class _PolyTable:
+    """Polynomials of every element up to length ``built``, extended a layer
+    at a time; the elimination for a layer needs every shorter polynomial."""
+
+    __slots__ = ("by_len", "polys", "built")
+
+    def __init__(self, rs: RootSystem):
+        self.by_len: dict[int, list[WeylElt]] = {}
+        for u in enumerate_weyl(rs):
+            self.by_len.setdefault(u.length(), []).append(u)
+        self.polys: dict = {weyl_identity(rs): {(rs.zero_coroot(), ()): scalar_one(rs)}}
+        self.built = 0
+
+    def extend(self, rs: RootSystem, top: int) -> None:
+        polys = self.polys
+        for l in range(self.built + 1, top + 1):
+            layer = self.by_len[l]
+            prev = self.by_len[l - 1]
+            unknowns = [(u, i) for u in prev for i in range(rs.rank)]
+            mat = {}
+            for (u, i) in unknowns:
+                ups, _ = chevalley_terms(rs, u)
+                for a, avee, ur in ups:
+                    if avee[i]:
+                        mat[(ur, (u, i))] = mat.get((ur, (u, i)), 0) + avee[i]
+            for target in layer:
+                sol = _solve_rational(layer, unknowns, mat, {target: 1})
+                terms: dict = {}
+                for x, (u, i) in zip(sol, unknowns):
+                    if not x:
+                        continue
+                    # x * omega_i * S_u, minus the equivariant and quantum corrections
+                    terms = _poly_add(terms, _poly_scale(_poly_mul_var(rs, polys[u], i), x))
+                    d = weight_diff(rs, rs.fundamental_weight(i), u)
+                    if d:
+                        terms = _poly_add(terms, _poly_scale(polys[u], d * (-x)))
+                    _, quantums = chevalley_terms(rs, u)
+                    for a, avee, ur in quantums:
+                        k = avee[i]
+                        if k:
+                            corr = _poly_qshift(rs, polys[ur], avee)
+                            terms = _poly_add(terms, _poly_scale(corr, -x * k))
+                polys[target] = terms
+            self.built = l
+
+
 def schubert_poly(rs: RootSystem, w: WeylElt) -> QSchubertPoly:
     """A deterministic equivariant quantum Schubert polynomial for sigma^w."""
-    key = ("qschub", w.m)
+    key = ("qschub", w.perm)
     hit = rs._cache.get(key)
     if hit is not None:
         return hit
-
-    W = enumerate_weyl(rs)
-    by_len: dict[int, list[WeylElt]] = {}
-    for u in W:
-        by_len.setdefault(u.length(), []).append(u)
-
-    zero_q = rs.zero_coroot()
-    polys: dict = {weyl_identity(rs): {(zero_q, ()): scalar_one(rs)}}
-    for l in range(1, w.length() + 1):
-        layer = by_len[l]
-        prev = by_len[l - 1]
-        unknowns = [(u, i) for u in prev for i in range(rs.rank)]
-        mat = {}
-        for (u, i) in unknowns:
-            ups, _ = chevalley_terms(rs, u)
-            for a, avee, ur in ups:
-                if avee[i]:
-                    mat[(ur, (u, i))] = mat.get((ur, (u, i)), 0) + avee[i]
-        for target in layer:
-            if target in polys or target.length() > w.length():
-                continue
-            sol = _solve_rational(layer, unknowns, mat, {target: 1})
-            terms: dict = {}
-            for x, (u, i) in zip(sol, unknowns):
-                if not x:
-                    continue
-                # x * omega_i * S_u, minus the equivariant and quantum corrections
-                terms = _poly_add(terms, _poly_scale(_poly_mul_var(rs, polys[u], i), x))
-                d = weight_diff(rs, rs.fundamental_weight(i), u)
-                if d:
-                    terms = _poly_add(terms, _poly_scale(polys[u], d * (-x)))
-                _, quantums = chevalley_terms(rs, u)
-                for a, avee, ur in quantums:
-                    k = avee[i]
-                    if k:
-                        corr = _poly_qshift(rs, polys[ur], avee)
-                        terms = _poly_add(terms, _poly_scale(corr, -x * k))
-            polys[target] = terms
-    terms = polys[w]
+    table = rs._cache.get(("qschub-table",))
+    if table is None:
+        table = rs._cache[("qschub-table",)] = _PolyTable(rs)
+    table.extend(rs, w.length())
+    terms = table.polys[w]
     # coefficients may be honestly rational (outside simply-laced types the
     # degree-2 classes need not generate over Z); every evaluated class is
     # integral and products assert that downstream
@@ -194,7 +206,7 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly) -> QHClass:
 
 def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
     """sigma^u * sigma^v."""
-    key = ("qhprod", u.m, v.m)
+    key = ("qhprod", u.perm, v.perm)
     hit = rs._cache.get(key)
     if hit is not None:
         return hit
@@ -299,6 +311,6 @@ def pw_lift(pd, lam_p) -> tuple[CorootVec, frozenset, WeylElt]:
             raise AssertionError("lifted parameter pairs outside {0,-1} on R_P^+")
     ipp = frozenset(pd.nodes) - {j for j in jms if j is not None}
     wp = pd.longest_wp()
-    wpp = pd.longest_of(ipp)
+    wpp = longest_of(rs, ipp)
     assert v == wp * wpp, "component representatives disagree with w_P w_{P'}"
     return lam_b, ipp, v

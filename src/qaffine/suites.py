@@ -499,6 +499,10 @@ def run_suite(name: str, **kwargs) -> dict:
     import inspect
 
     allowed = set(inspect.signature(fn).parameters)
-    report = fn(**{k: v for k, v in kwargs.items() if k in allowed})
+    extra = sorted(set(kwargs) - allowed)
+    if extra:
+        takes = f"it accepts {', '.join(sorted(allowed))}" if allowed else "it takes no arguments"
+        raise ValueError(f"suite {name!r} does not accept {', '.join(extra)} ({takes})")
+    report = fn(**kwargs)
     report.pop("collected_j", None)
     return report

@@ -1,8 +1,13 @@
 """Finite and affine Weyl group arithmetic.
 
-A finite element is stored as its integer action matrix on the root lattice
-(columns = images of the simple roots); equality is structural.  An affine
-element ``w t_lam`` pairs a finite element with a coroot-lattice translation.
+A finite element is stored as a permutation of the roots (Casselman,
+*Machine calculations in Weyl groups*; the CHEVIE permutation model): the
+index of the image of every root in the fixed order ``rs.roots`` (positive
+roots, then their negatives).  A product is tuple indexing, the length counts
+positive roots sent to negative ones, and the actions on roots, coroots and
+weights are read off the images of the simple roots; equality is structural.
+An affine element ``w t_lam`` pairs a finite element with a coroot-lattice
+translation.
 """
 
 from dataclasses import dataclass
@@ -11,90 +16,78 @@ from math import gcd
 from .cartan import AffineRoot, CorootVec, RootSystem, RootVec
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
-
-
-def _mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def _identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 class WeylElt:
-    """Element of the finite Weyl group W."""
+    """Element of the finite Weyl group W, as a permutation of the root indices."""
 
-    __slots__ = ("rs", "m", "minv", "mc", "mcinv", "_hash")
+    __slots__ = ("rs", "perm", "_inv", "_len", "_hash")
 
-    def __init__(self, rs: RootSystem, m, minv, mc, mcinv):
+    def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
         self.rs = rs
-        self.m = m
-        self.minv = minv
-        self.mc = mc
-        self.mcinv = mcinv
-        self._hash = hash(m)
+        self.perm = perm
+        self._inv = None
+        self._len = None
+        self._hash = hash(perm)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.m == other.m and self.rs is other.rs
+        return isinstance(other, WeylElt) and self.perm == other.perm and self.rs is other.rs
 
     def __hash__(self):
         return self._hash
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
-        return WeylElt(
-            self.rs,
-            _mat_mul(self.m, other.m),
-            _mat_mul(other.minv, self.minv),
-            _mat_mul(self.mc, other.mc),
-            _mat_mul(other.mcinv, self.mcinv),
-        )
+        return WeylElt(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElt":
-        return WeylElt(self.rs, self.minv, self.m, self.mcinv, self.mc)
+        inv = self._inv
+        if inv is None:
+            q = [0] * len(self.perm)
+            for k, j in enumerate(self.perm):
+                q[j] = k
+            inv = self._inv = WeylElt(self.rs, tuple(q))
+        return inv
 
     def is_identity(self) -> bool:
-        return self.m == _identity(self.rs.rank)
+        return self.length() == 0
 
     # actions
     def act_root(self, v: RootVec) -> RootVec:
-        return _mat_vec(self.m, v)
-
-    def inv_act_root(self, v: RootVec) -> RootVec:
-        return _mat_vec(self.minv, v)
+        rs = self.rs
+        k = rs.root_index.get(v)
+        if k is not None:
+            return rs.roots[self.perm[k]]
+        return _combine(rs.roots, self.perm, rs.simple_index, v)
 
     def act_coroot(self, lam: CorootVec) -> CorootVec:
-        return _mat_vec(self.mc, lam)
+        rs = self.rs
+        k = rs.coroot_index.get(lam)
+        if k is not None:
+            return rs.coroots[self.perm[k]]
+        return _combine(rs.coroots, self.perm, rs.simple_index, lam)
 
     def inv_act_coroot(self, lam: CorootVec) -> CorootVec:
-        return _mat_vec(self.mcinv, lam)
+        return self.inverse().act_coroot(lam)
 
     def act_weight(self, mu) -> tuple:
         # (w mu)_i = <w^{-1} alpha_i^vee, mu>
-        n = self.rs.rank
-        mcinv = self.mcinv
-        return tuple(sum(mcinv[j][i] * mu[j] for j in range(n)) for i in range(n))
+        rs = self.rs
+        inv = self.inverse().perm
+        return tuple(sum(c * m for c, m in zip(rs.coroots[inv[s]], mu)) for s in rs.simple_index)
 
     def length(self) -> int:
-        cache = self.rs._cache
-        key = ("wlen", self.m)
-        val = cache.get(key)
-        if val is None:
-            val = sum(1 for a in self.rs.positive_roots if not _pos(self.act_root(a)))
-            cache[key] = val
-        return val
+        n = self._len
+        if n is None:
+            npos = len(self.perm) // 2
+            n = self._len = sum(1 for k in self.perm[:npos] if k >= npos)
+        return n
 
     def neg_set(self) -> tuple[bool, ...]:
         """For each positive root alpha (in rs order), whether w.alpha < 0."""
-        cache = self.rs._cache
-        key = ("negset", self.m)
-        val = cache.get(key)
-        if val is None:
-            val = tuple(not _pos(self.act_root(a)) for a in self.rs.positive_roots)
-            cache[key] = val
-        return val
+        npos = len(self.perm) // 2
+        return tuple(k >= npos for k in self.perm[:npos])
+
+    def descends(self, i: int) -> bool:
+        """Whether w alpha_i < 0, i.e. l(w r_i) < l(w)."""
+        return self.perm[self.rs.simple_index[i]] >= len(self.perm) // 2
 
     def word(self) -> tuple[int, ...]:
         """A reduced word over I (indices 0-based into the simple roots)."""
@@ -102,7 +95,7 @@ class WeylElt:
         x = self
         while True:
             for i in range(self.rs.rank):
-                if not _pos(x.act_root(self.rs.simple_root(i))):
+                if x.descends(i):
                     out.append(i)
                     x = x * simple_reflection(self.rs, i)
                     break
@@ -117,6 +110,17 @@ class WeylElt:
         return "id" if not w else " ".join(f"s{i + 1}" for i in w)
 
 
+def _combine(vecs, perm, simple_index, coeffs) -> tuple:
+    """sum_j coeffs[j] * vecs[perm[simple_index[j]]]: w applied to a vector
+    through the images of the simple roots (or coroots)."""
+    out = [0] * len(coeffs)
+    for c, s in zip(coeffs, simple_index):
+        if c:
+            for k, x in enumerate(vecs[perm[s]]):
+                out[k] += c * x
+    return tuple(out)
+
+
 def _pos(v) -> bool:
     return any(c > 0 for c in v)
 
@@ -125,8 +129,7 @@ def weyl_identity(rs: RootSystem) -> WeylElt:
     key = ("wid",)
     e = rs._cache.get(key)
     if e is None:
-        m = _identity(rs.rank)
-        e = WeylElt(rs, m, m, m, m)
+        e = WeylElt(rs, tuple(range(len(rs.roots))))
         rs._cache[key] = e
     return e
 
@@ -135,9 +138,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     key = ("sref", i)
     e = rs._cache.get(key)
     if e is None:
-        m = rs.refl_root_mats[i]
-        mc = rs.refl_coroot_mats[i]
-        e = WeylElt(rs, m, m, mc, mc)
+        e = WeylElt(rs, rs.simple_perms[i])
         rs._cache[key] = e
     return e
 
@@ -149,16 +150,13 @@ def reflection_of(rs: RootSystem, alpha: RootVec) -> WeylElt:
     if e is None:
         if not rs.is_root(alpha):
             raise ValueError(f"{alpha} is not a root")
+        # r_alpha(beta) = beta - <alpha^vee, beta> alpha
         avee = rs.coroot_of(alpha)
-        n = rs.rank
-        prow = rs.root_pairing_row(alpha)
-        # r_alpha(alpha_j) = alpha_j - <alpha^vee, alpha_j> alpha
-        m = tuple(
-            tuple(int(k == j) - rs.pair(avee, rs.simple_root(j)) * alpha[k] for j in range(n)) for k in range(n)
-        )
-        # r_alpha(alpha_j^vee) = alpha_j^vee - <alpha_j^vee, alpha> alpha^vee
-        mc = tuple(tuple(int(k == j) - prow[j] * avee[k] for j in range(n)) for k in range(n))
-        e = WeylElt(rs, m, m, mc, mc)
+        perm = []
+        for beta in rs.roots:
+            p = rs.pair(avee, beta)
+            perm.append(rs.root_index[tuple(b - p * a for a, b in zip(alpha, beta))])
+        e = WeylElt(rs, tuple(perm))
         rs._cache[key] = e
     return e
 
@@ -170,38 +168,59 @@ def from_word(rs: RootSystem, word) -> WeylElt:
     return x
 
 
+def _image_matrix(w: WeylElt) -> tuple:
+    """Rows of the matrix whose columns are the images of the simple roots."""
+    rs = w.rs
+    return tuple(zip(*(rs.roots[w.perm[s]] for s in rs.simple_index)))
+
+
 def enumerate_weyl(rs: RootSystem, cap: int = 100000) -> list[WeylElt]:
-    """All elements of W, BFS order by length."""
+    """All elements of W, sorted by (length, matrix of images of simple roots)."""
     key = ("W",)
     lst = rs._cache.get(key)
     if lst is None:
         if rs.weyl_order > cap:
             raise ValueError(f"|W| = {rs.weyl_order} too large to enumerate")
         gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-        seen = {weyl_identity(rs).m: weyl_identity(rs)}
-        frontier = [weyl_identity(rs)]
+        e = weyl_identity(rs)
+        seen = {e.perm: e}
+        frontier = [e]
         while frontier:
             nxt = []
             for x in frontier:
                 for g in gens:
                     y = x * g
-                    if y.m not in seen:
-                        seen[y.m] = y
+                    if y.perm not in seen:
+                        seen[y.perm] = y
                         nxt.append(y)
             frontier = nxt
-        lst = sorted(seen.values(), key=lambda w: (w.length(), w.m))
+        lst = sorted(seen.values(), key=lambda w: (w.length(), _image_matrix(w)))
         assert len(lst) == rs.weyl_order
         rs._cache[key] = lst
     return lst
 
 
+def longest_of(rs: RootSystem, nodes) -> WeylElt:
+    """The longest element of the parabolic subgroup W_J, J = nodes, by a
+    walk r_j up while some j in J has w alpha_j > 0."""
+    nodes = tuple(sorted(nodes))
+    key = ("w0", nodes)
+    w = rs._cache.get(key)
+    if w is None:
+        w = weyl_identity(rs)
+        while True:
+            for j in nodes:
+                if not w.descends(j):
+                    w = w * simple_reflection(rs, j)
+                    break
+            else:
+                break
+        rs._cache[key] = w
+    return w
+
+
 def longest_element(rs: RootSystem) -> WeylElt:
-    key = ("w0",)
-    w0 = rs._cache.get(key)
-    if w0 is None:
-        w0 = max(enumerate_weyl(rs), key=lambda w: w.length())
-        rs._cache[key] = w0
-    return w0
+    return longest_of(rs, range(rs.rank))
 
 
 def positive_root_data(rs: RootSystem):
@@ -303,7 +322,7 @@ def is_grassmannian(x: AffineElt) -> bool:
         p = rs.pair(x.t, rs.simple_root(i))
         if p > 0:
             return False
-        if p == 0 and not _pos(x.w.act_root(rs.simple_root(i))):
+        if p == 0 and x.w.descends(i):
             return False
     return True
 
@@ -390,13 +409,10 @@ def superregular_antidominant(rs: RootSystem, units: int = 0, shift: int = 0) ->
     base = rs._cache.get(key)
     if base is None:
         # integer coroot vector with <base, alpha_j> = -m for all j, i.e.
-        # -m (C^T)^{-1} 1: column sums of the inverse Cartan matrix
-        inv = rs.cartan_inv
-        col = [sum(inv[j][i] for j in range(rs.rank)) for i in range(rs.rank)]
-        den = 1
-        for c in col:
-            den = den * c.denominator // gcd(den, c.denominator)
-        base = tuple(int(-den * c) for c in col)
+        # -m (C^T)^{-1} 1: column sums of the adjugate, divided by their gcd
+        col = [sum(row[i] for row in rs.cartan_adj) for i in range(rs.rank)]
+        g = gcd(*col, rs.cartan_det)
+        base = tuple(-c // g for c in col)
         assert all(rs.pair(base, rs.simple_root(j)) == rs.pair(base, rs.simple_root(0)) < 0
                    for j in range(rs.rank))
         rs._cache[key] = base
@@ -505,7 +521,7 @@ def chevalley_terms(rs: RootSystem, w: WeylElt):
     ups      = ((alpha, alpha_vee, w r_alpha) ...) with l(w r_alpha) = l(w) + 1,
     quantums = same with l(w r_alpha) = l(w) + 1 - <alpha^vee, 2 rho>.
     """
-    key = ("chev", w.m)
+    key = ("chev", w.perm)
     val = rs._cache.get(key)
     if val is None:
         lw = w.length()
@@ -529,7 +545,7 @@ def descent_terms(rs: RootSystem, v: WeylElt):
     downs = ((alpha, alpha_vee, v r_alpha) ...) with l(v r_alpha) = l(v) - 1,
     qups  = same with l(v r_alpha) = l(v) + <alpha^vee, 2 rho> - 1.
     """
-    key = ("desc", v.m)
+    key = ("desc", v.perm)
     val = rs._cache.get(key)
     if val is None:
         lv = v.length()

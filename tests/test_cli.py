@@ -114,3 +114,20 @@ def test_bad_arguments_exit_2(capsys):
         main(["qh", "product", "--type", "A1"])
     assert exc.value.code == 2
     assert main(["rootsys", "show", "--type", "Z9"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["qh", "product", "--type", "A2", "--u", "s9", "--v", "s1"], "letter 9"),
+        (["weyl", "length", "--type", "A2", "--word", "0 1 7"], "letter 7"),
+        (["gr", "j-class", "--type", "A1", "--w", "s1", "--t", "-1"], "margin needed 8, found -4"),
+        (["verify", "tilted", "--type", "A1"], "does not accept types"),
+    ],
+)
+def test_malformed_input_exit_2_one_error_line(capsys, argv, needle):
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 2 and captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0]
