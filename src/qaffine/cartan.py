@@ -12,6 +12,7 @@ All three are plain tuples of ints.  The Cartan matrix convention is
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from math import factorial
 from typing import NamedTuple
 
@@ -33,6 +34,26 @@ class AffineRoot(NamedTuple):
 
     def __neg__(self) -> "AffineRoot":
         return AffineRoot(tuple(-c for c in self.finite), -self.level)
+
+
+def cached(tag: str):
+    """Memoize ``f(owner, *args)`` in ``owner._cache[(tag, *args)]``.
+
+    The owner is a RootSystem or a ParabolicData.  Keys stay top-level entries
+    of that flat dict (the benchmark resets rounds by truncating it), and a
+    ``None`` result is cached like any other.
+    """
+    def deco(f):
+        @wraps(f)
+        def wrapper(owner, *args):
+            key = (tag, *args)
+            try:
+                return owner._cache[key]
+            except KeyError:
+                val = owner._cache[key] = f(owner, *args)
+                return val
+        return wrapper
+    return deco
 
 
 def _is_positive_vec(v: tuple[int, ...]) -> bool:
@@ -98,19 +119,37 @@ def _weyl_order(family: str, rank: int) -> int:
     return 12  # G2
 
 
-def _invert_matrix(m: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+def solve_rational(rows, cols, mat, targets) -> list[list[Fraction]]:
+    """Exact solutions x of mat . x = t over Q, one per target t; free variables 0.
+
+    ``mat`` maps (row, col) labels to numbers and each target maps row labels
+    to numbers.  One Gauss-Jordan elimination serves every target: its pivots
+    depend on mat alone.
+    """
+    nr, nc = len(rows), len(cols)
+    m = [[Fraction(mat.get((r, c), 0)) for c in cols] + [Fraction(t.get(r, 0)) for t in targets] for r in rows]
+    piv_of_col = {}
+    rr = 0
+    for c in range(nc):
+        piv = next((r for r in range(rr, nr) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rr], m[piv] = m[piv], m[rr]
+        p = m[rr][c]
+        m[rr] = [x / p for x in m[rr]]
+        for r in range(nr):
+            if r != rr and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rr])]
+        piv_of_col[c] = rr
+        rr += 1
+        if rr == nr:
+            break
+    for r in range(nr):
+        if all(x == 0 for x in m[r][:nc]) and any(m[r][nc:]):
+            raise ValueError("inconsistent linear system")
+    return [[m[piv_of_col[c]][nc + k] if c in piv_of_col else Fraction(0) for c in range(nc)]
+            for k in range(len(targets))]
 
 
 def _adjugate(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -129,8 +168,10 @@ def _adjugate(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     det = a[n - 1][n - 1]
-    adj = tuple(tuple(int(x * det) for x in row) for row in _invert_matrix(m))
-    return adj, det
+    # solving m^T x = e_i gives row i of m^{-1}
+    idx = range(n)
+    rows = solve_rational(idx, idx, {(i, j): m[j][i] for i in idx for j in idx}, [{i: 1} for i in idx])
+    return tuple(tuple(int(x * det) for x in row) for row in rows), det
 
 
 @dataclass(frozen=True)
@@ -160,6 +201,7 @@ class RootSystem:
     coroot_index: dict[CorootVec, int]
     simple_index: tuple[int, ...]  # simple_index[i] is the index of alpha_i
     simple_perms: tuple[tuple[int, ...], ...]  # r_i as a permutation of the root indices
+    pairing_rows: dict[RootVec, tuple[int, ...]]  # (<alpha_i^vee, alpha>)_i for every root alpha
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __hash__(self):
@@ -217,30 +259,18 @@ class RootSystem:
             out.append(q)
         return tuple(out)
 
-    def root_to_weight_basis(self, v: RootVec) -> WeightVec:
-        """alpha-basis vector rewritten in the fundamental-weight basis."""
-        c = self.cartan
-        return tuple(sum(c[i][j] * v[j] for j in range(self.rank)) for i in range(self.rank))
-
     def is_antidominant(self, lam: CorootVec) -> bool:
         return all(self.pair_root(lam, self.simple_root(i)) <= 0 for i in range(self.rank))
 
     def is_regular(self, lam: CorootVec) -> bool:
         return all(self.pair_root(lam, a) != 0 for a in self.positive_roots)
 
-    # positive roots paired against a coroot vector, precomputed rows
-    def root_pairing_row(self, alpha: RootVec) -> tuple[int, ...]:
-        """Vector (<alpha_i^vee, alpha>)_i, so <lam, alpha> = lam . row."""
-        key = ("prow", alpha)
-        row = self._cache.get(key)
-        if row is None:
-            c = self.cartan
-            row = tuple(sum(c[i][j] * alpha[j] for j in range(self.rank)) for i in range(self.rank))
-            self._cache[key] = row
-        return row
-
     def pair(self, lam: CorootVec, alpha: RootVec) -> int:
-        return sum(a * b for a, b in zip(lam, self.root_pairing_row(alpha)))
+        """<lam, alpha>: a dot product with a stored row for a root, else pair_root."""
+        row = self.pairing_rows.get(alpha)
+        if row is None:
+            return self.pair_root(lam, alpha)
+        return sum(a * b for a, b in zip(lam, row))
 
 
 def build(label: str) -> RootSystem:
@@ -321,6 +351,7 @@ def build(label: str) -> RootSystem:
         coroot_index={c: k for k, c in enumerate(coroots)},
         simple_index=simple_index,
         simple_perms=simple_perms,
+        pairing_rows={a: tuple(sum(c * x for c, x in zip(row, a)) for row in cartan) for a in roots},
     )
     _check_tables(rs)
     return rs
@@ -342,11 +373,6 @@ def _check_tables(rs: RootSystem) -> None:
     # every root has a coroot and <alpha^vee, alpha> = 2
     for a, av in rs.coroot_table.items():
         assert rs.pair(av, a) == 2
-
-
-def pair(rs: RootSystem, lam: CorootVec, mu) -> int:
-    """Pairing <lam, mu>; mu may be a WeightVec or ("root", RootVec)."""
-    return rs.pair_weight(lam, mu)
 
 
 def to_json_dict(rs: RootSystem) -> dict:

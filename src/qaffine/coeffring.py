@@ -208,10 +208,6 @@ def scalar_one(rs: RootSystem) -> Scalar:
     return Scalar.const(1, rs.rank)
 
 
-def scalar_zero() -> Scalar:
-    return Scalar()
-
-
 def root_scalar(rs: RootSystem, v) -> Scalar:
     """A root-lattice vector (alpha-basis coordinates) as a linear Scalar."""
     return Scalar.linear(tuple(v))
@@ -267,7 +263,3 @@ def combo_scale(a: dict, s) -> dict:
     for k, v in a.items():
         combo_axpy(out, k, v * s)
     return out
-
-
-def support(a: dict):
-    return set(a.keys())

@@ -6,9 +6,7 @@ left of the basis.  The W_af-action on weights is the level-zero one
 reflection).
 """
 
-from fractions import Fraction
-
-from .cartan import RootSystem, WeightVec
+from .cartan import RootSystem, WeightVec, cached
 from .coeffring import Scalar, combo_axpy, root_scalar
 from .weyl import (
     AffineElt,
@@ -29,16 +27,11 @@ def basis_product(x: AffineElt, y: AffineElt, one: Scalar) -> NilHeckeElt:
     return {}
 
 
-def _cocover_pairs(x: AffineElt):
+@cached("nh_cocovers")
+def _cocover_pairs(rs: RootSystem, x: AffineElt):
     """Pairs (target, finite coroot of the positive reflection root)."""
-    rs = x.rs
-    key = ("nh_cocovers", x)
-    val = rs._cache.get(key)
-    if val is None:
-        recs = cocovers_superregular(x, validate=False) if superregular_margin(x) >= 1 else cocovers(x)
-        val = tuple((c.target, rs.coroot_of(c.reflection_root.finite)) for c in recs)
-        rs._cache[key] = val
-    return val
+    recs = cocovers_superregular(x, validate=False) if superregular_margin(x) >= 1 else cocovers(x)
+    return tuple((c.target, rs.coroot_of(c.reflection_root.finite)) for c in recs)
 
 
 def commute_scalar(rs: RootSystem, x: AffineElt, mu: WeightVec) -> NilHeckeElt:
@@ -52,7 +45,7 @@ def commute_scalar(rs: RootSystem, x: AffineElt, mu: WeightVec) -> NilHeckeElt:
     coords = rs.weight_to_root_basis(wmu)
     diag = Scalar.linear(tuple(int(c) if c.denominator == 1 else c for c in coords))
     combo_axpy(out, x, diag)
-    for y, bvee in _cocover_pairs(x):
+    for y, bvee in _cocover_pairs(rs, x):
         c = rs.pair_weight(bvee, mu)
         if c:
             combo_axpy(out, y, Scalar.const(c, rs.rank))
@@ -67,7 +60,7 @@ def commutator_with_weight(rs: RootSystem, a: NilHeckeElt, mu: WeightVec) -> Nil
         wmu = x.w.act_weight(mu)
         diff = root_scalar(rs, rs.root_lattice_check(tuple(m - w for m, w in zip(mu, wmu))))
         combo_axpy(out, x, cx * diff)
-        for y, bvee in _cocover_pairs(x):
+        for y, bvee in _cocover_pairs(rs, x):
             c = rs.pair_weight(bvee, mu)
             if c:
                 combo_axpy(out, y, cx * (-c))
@@ -88,7 +81,7 @@ def _push_variable(rs: RootSystem, a: NilHeckeElt, i: int) -> NilHeckeElt:
     alpha = rs.simple_root(i)
     for x, cx in a.items():
         combo_axpy(out, x, cx * root_scalar(rs, x.w.act_root(alpha)))
-        for y, bvee in _cocover_pairs(x):
+        for y, bvee in _cocover_pairs(rs, x):
             c = rs.pair(bvee, alpha)
             if c:
                 combo_axpy(out, y, cx * c)

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .cartan import AffineRoot, CorootVec, RootSystem, RootVec
+from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, cached, solve_rational
 from .coeffring import combo_axpy
 from .peterson import hom_product_basis
 from .weyl import (
     AffineElt,
     WeylElt,
+    _pos,
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
@@ -29,7 +30,6 @@ from .weyl import (
     longest_of,
     reflection_of_affine,
     simple_reflection,
-    translation,
     weyl_identity,
 )
 
@@ -54,19 +54,13 @@ class ParabolicData:
         return not any(w.descends(j) for j in self.nodes)
 
     @property
+    @cached("rpset")
     def _rp_set(self):
-        s = self._cache.get("rpset")
-        if s is None:
-            s = set(self.rp_positive)
-            self._cache["rpset"] = s
-        return s
+        return set(self.rp_positive)
 
+    @cached("wp_reps")
     def minimal_reps(self) -> list[WeylElt]:
-        reps = self._cache.get("wp_reps")
-        if reps is None:
-            reps = [w for w in enumerate_weyl(self.rs) if self.is_minimal_rep(w)]
-            self._cache["wp_reps"] = reps
-        return reps
+        return [w for w in enumerate_weyl(self.rs) if self.is_minimal_rep(w)]
 
     def pi_finite(self, w: WeylElt) -> WeylElt:
         """The W^P factor of w = w_1 w_2 with w_2 in W_P."""
@@ -90,14 +84,11 @@ class ParabolicData:
         return longest_of(self.rs, self.nodes)
 
     # -- component data -----------------------------------------------------
+    @cached("ctheta")
     def component_theta(self, comp: tuple) -> RootVec:
-        key = ("ctheta", comp)
-        th = self._cache.get(key)
-        if th is None:
-            sub = [a for a in self.rp_positive if all(c == 0 or i in comp for i, c in enumerate(a))]
-            th = max(sub, key=lambda a: (sum(a), a))
-            assert all(all(x >= y for x, y in zip(th, a)) for a in sub)
-            self._cache[key] = th
+        sub = [a for a in self.rp_positive if all(c == 0 or i in comp for i, c in enumerate(a))]
+        th = max(sub, key=lambda a: (sum(a), a))
+        assert all(all(x >= y for x, y in zip(th, a)) for a in sub)
         return th
 
     def component_special_nodes(self, comp: tuple) -> tuple:
@@ -105,16 +96,13 @@ class ParabolicData:
         th = self.component_theta(comp)
         return tuple(j for j in comp if th[j] == 1)
 
+    @cached("cinv")
     def component_cartan_inv(self, comp: tuple):
-        key = ("cinv", comp)
-        inv = self._cache.get(key)
-        if inv is None:
-            sub = [[self.rs.cartan[i][j] for j in comp] for i in comp]
-            from .cartan import _invert_matrix
-
-            inv = _invert_matrix(sub)
-            self._cache[key] = inv
-        return inv
+        """Rows of the inverse Cartan matrix of the component (Fractions)."""
+        # solving C^T x = e_k gives row k of C^{-1}
+        idx = range(len(comp))
+        mat = {(r, c): self.rs.cartan[comp[c]][comp[r]] for r in idx for c in idx}
+        return solve_rational(idx, idx, mat, [{k: 1} for k in idx])
 
     def v_special(self, comp: tuple, j: int) -> WeylElt:
         """Shortest v in W_{comp} with v omega_j = w_{0,comp} omega_j."""
@@ -157,10 +145,6 @@ class ParabolicData:
             jms.append(jm)
         lam_b = tuple(l + p for l, p in zip(lam, phi))
         return v, lam_b, tuple(jms)
-
-
-def _pos(vec) -> bool:
-    return any(c > 0 for c in vec)
 
 
 def build_parabolic(rs: RootSystem, nodes) -> ParabolicData:
@@ -243,24 +227,26 @@ def in_JP(pd: ParabolicData, x: AffineElt) -> bool:
     return not in_WPaff(pd, x)
 
 
+@cached("perp")
+def _perp_base(pd: ParabolicData) -> CorootVec:
+    rs = pd.rs
+    # rows of the adjugate over the free nodes, divided by their gcd
+    coords = [sum(rs.cartan_adj[i][k] for i in pd.free_nodes) for k in range(rs.rank)]
+    g = gcd(*coords, rs.cartan_det)
+    base = tuple(-c // g for c in coords)
+    for j in range(rs.rank):
+        p = rs.pair(base, rs.simple_root(j))
+        assert (p == 0) == (j in pd.nodes) and p <= 0
+    return base
+
+
 def perp_antidominant(pd: ParabolicData, scale: int = 1) -> CorootVec:
     """lam in Q^vee with <lam, alpha_j> = 0 on I_P and < 0 off I_P.
 
     Such translations satisfy pi_P(t_lam) = t_lam and are the localization
     denominators of the quotient ring.
     """
-    base = pd._cache.get("perp")
-    if base is None:
-        rs = pd.rs
-        # rows of the adjugate over the free nodes, divided by their gcd
-        coords = [sum(rs.cartan_adj[i][k] for i in pd.free_nodes) for k in range(rs.rank)]
-        g = gcd(*coords, rs.cartan_det)
-        base = tuple(-c // g for c in coords)
-        for j in range(rs.rank):
-            p = rs.pair(base, rs.simple_root(j))
-            assert (p == 0) == (j in pd.nodes) and p <= 0
-        pd._cache["perp"] = base
-    return tuple(scale * c for c in base)
+    return tuple(scale * c for c in _perp_base(pd))
 
 
 def _coset_lift(pd: ParabolicData, coset, depth: int) -> CorootVec:
@@ -340,6 +326,7 @@ def is_special_node(rs: RootSystem, i: int) -> bool:
     return rs.marks[i] == 1
 
 
+@cached("tau")
 def tau(rs: RootSystem, i: int) -> tuple:
     """The affine diagram automorphism with tau_i(i) = 0, as a node permutation.
 
@@ -351,10 +338,6 @@ def tau(rs: RootSystem, i: int) -> tuple:
         return tuple(range(rs.rank + 1))
     if not is_special_node(rs, i):
         raise ValueError(f"node {i} is not special (mark != 1)")
-    key = ("tau", i)
-    perm = rs._cache.get(key)
-    if perm is not None:
-        return perm
     vi = longest_element(rs) * longest_of(rs, [k for k in range(rs.rank) if k != i - 1])
     out = [None] * (rs.rank + 1)
     for k in range(1, rs.rank + 1):
@@ -367,9 +350,7 @@ def tau(rs: RootSystem, i: int) -> tuple:
     out[0] = _simple_index(rs, img0) + 1
     assert sorted(out) == list(range(rs.rank + 1)) and out[i] == 0
     _assert_affine_automorphism(rs, out)
-    perm = tuple(out)
-    rs._cache[key] = perm
-    return perm
+    return tuple(out)
 
 
 def _simple_index(rs: RootSystem, v: RootVec) -> int:
@@ -379,22 +360,18 @@ def _simple_index(rs: RootSystem, v: RootVec) -> int:
     raise AssertionError(f"{v} is not a simple root")
 
 
+@cached("affcartan")
 def _affine_cartan(rs: RootSystem):
-    key = ("affcartan",)
-    c = rs._cache.get(key)
-    if c is None:
-        r = rs.rank
-        m = [[0] * (r + 1) for _ in range(r + 1)]
-        for i in range(r):
-            for j in range(r):
-                m[i + 1][j + 1] = rs.cartan[i][j]
-        m[0][0] = 2
+    r = rs.rank
+    m = [[0] * (r + 1) for _ in range(r + 1)]
+    for i in range(r):
         for j in range(r):
-            m[0][j + 1] = -rs.pair(rs.theta_vee, rs.simple_root(j))
-            m[j + 1][0] = -rs.pair(rs.simple_coroot(j), rs.theta)
-        c = tuple(tuple(row) for row in m)
-        rs._cache[key] = c
-    return c
+            m[i + 1][j + 1] = rs.cartan[i][j]
+    m[0][0] = 2
+    for j in range(r):
+        m[0][j + 1] = -rs.pair(rs.theta_vee, rs.simple_root(j))
+        m[j + 1][0] = -rs.pair(rs.simple_coroot(j), rs.theta)
+    return tuple(tuple(row) for row in m)
 
 
 def _assert_affine_automorphism(rs: RootSystem, perm) -> None:
@@ -405,28 +382,17 @@ def _assert_affine_automorphism(rs: RootSystem, perm) -> None:
             assert c[perm[a]][perm[b]] == c[a][b], "node permutation is not a diagram automorphism"
 
 
+@cached("star")
 def star(rs: RootSystem) -> tuple:
     """The automorphism w -> w_0 w w_0 on node ids, fixing the affine node."""
-    key = ("star",)
-    perm = rs._cache.get(key)
-    if perm is None:
-        w0 = longest_element(rs)
-        out = [0] * (rs.rank + 1)
-        for k in range(rs.rank):
-            img = tuple(-c for c in w0.act_root(rs.simple_root(k)))
-            out[k + 1] = _simple_index(rs, img) + 1
-        perm = tuple(out)
-        _assert_affine_automorphism(rs, perm)
-        rs._cache[key] = perm
+    w0 = longest_element(rs)
+    out = [0] * (rs.rank + 1)
+    for k in range(rs.rank):
+        img = tuple(-c for c in w0.act_root(rs.simple_root(k)))
+        out[k + 1] = _simple_index(rs, img) + 1
+    perm = tuple(out)
+    _assert_affine_automorphism(rs, perm)
     return perm
-
-
-def apply_node_perm(rs: RootSystem, perm, x: AffineElt) -> AffineElt:
-    """Relabel a reduced word of x through a diagram automorphism."""
-    from .weyl import reduced_word
-
-    word = reduced_word(x)
-    return affine_from_word(rs, tuple(perm[i] for i in word))
 
 
 def theta_cominuscule(pd: ParabolicData, y: WeylElt) -> AffineElt:
@@ -578,16 +544,12 @@ def lm_map(pd: ParabolicData, xi: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+@cached("lmpre")
 def _lm_preimage(pd: ParabolicData, x: AffineElt):
-    key = ("lmpre", x)
-    if key in pd._cache:
-        return pd._cache[key]
-    res = None
+    """The y in W^P with x = theta(y) pi_P(t_lam), or None."""
     for y in pd.minimal_reps():
         z = theta_cominuscule(pd, y).inverse() * x
         v, lam_b, _ = pd.pi_translation_data(z.t)
         if lam_b == z.t and AffineElt(v, lam_b) == z:
-            res = y
-            break
-    pd._cache[key] = res
-    return res
+            return y
+    return None

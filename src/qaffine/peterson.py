@@ -9,7 +9,7 @@ localized quantum ring are computed.
 
 from dataclasses import dataclass
 
-from .cartan import CorootVec, RootSystem, WeightVec
+from .cartan import CorootVec, RootSystem, WeightVec, cached
 from .coeffring import Scalar, combo_axpy, combo_scale, root_scalar, scalar_one, weight_diff
 from .nilhecke import NilHeckeElt, act_on_homology, is_central, mod_J
 from .quantum import QHClass, schubert_poly
@@ -18,13 +18,12 @@ from .weyl import (
     WeylElt,
     affine_simple_reflection,
     chamber_decompose,
-    chevalley_terms,
-    descent_terms,
     enumerate_weyl,
+    far_covers,
     is_grassmannian,
     is_superregular,
     length,
-    reflection_of,
+    near_covers,
     superregular_antidominant,
     superregular_margin,
     translation,
@@ -45,46 +44,16 @@ def _require_margin(x: AffineElt, units: int = 1):
                           f"(pairing units beyond 2|W| + 2)")
 
 
-def _near_covers(rs: RootSystem, x: AffineElt):
-    """Near cocovers of superregular x = w t_{v lam}: list of (avee, y, case)."""
-    v, lam = chamber_decompose(rs, x.t)
-    wv = x.w * v
-    vinv = v.inverse()
-    out = []
-    ups, quantums = chevalley_terms(rs, wv)
-    for a, avee, wvr in ups:  # case 1: translation unchanged
-        out.append((avee, AffineElt(wvr * vinv, x.t), 1))
-    for a, avee, wvr in quantums:  # case 2: lam gains alpha^vee
-        t2 = tuple(p + q for p, q in zip(x.t, v.act_coroot(avee)))
-        out.append((avee, AffineElt(wvr * vinv, t2), 2))
-    return v, wv, out
-
-
-def _far_covers(rs: RootSystem, x: AffineElt):
-    """Far cocovers of superregular x: list of (avee, y, case)."""
-    v, lam = chamber_decompose(rs, x.t)
-    out = []
-    downs, qups = descent_terms(rs, v)
-    for a, avee, vr in downs:  # case 3
-        y = AffineElt(x.w * reflection_of(rs, v.act_root(a)), vr.act_coroot(lam))
-        out.append((avee, y, 3))
-    for a, avee, vr in qups:  # case 4
-        lam2 = tuple(p + q for p, q in zip(lam, avee))
-        y = AffineElt(x.w * reflection_of(rs, v.act_root(a)), vr.act_coroot(lam2))
-        out.append((avee, y, 4))
-    return v, out
-
-
 def b_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Near equivariant affine Bruhat operator B^mu."""
     out: GroupAlgebraElt = {}
     for x, c in f.items():
         _require_margin(x)
-        v, wv, covers = _near_covers(rs, x)
+        v, wv, covers = near_covers(x)
         diag = weight_diff(rs, mu, wv)
         if diag:
             combo_axpy(out, x, c * diag)
-        for avee, y, _case in covers:
+        for _a, avee, y, _case in covers:
             k = rs.pair_weight(avee, mu)
             if k:
                 combo_axpy(out, y, c * k)
@@ -96,11 +65,11 @@ def c_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     out: GroupAlgebraElt = {}
     for x, c in f.items():
         _require_margin(x)
-        v, covers = _far_covers(rs, x)
+        v, covers = far_covers(x)
         diag = weight_diff(rs, mu, v)
         if diag:
             combo_axpy(out, x, c * diag)
-        for avee, y, _case in covers:
+        for _a, avee, y, _case in covers:
             k = rs.pair_weight(avee, mu)
             if k:
                 combo_axpy(out, y, c * k)
@@ -118,11 +87,11 @@ def twisted_b(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebra
     out: GroupAlgebraElt = {}
     for x, c in f.items():
         _require_margin(x)
-        v, wv, covers = _near_covers(rs, x)
+        v, wv, covers = near_covers(x)
         diag = _weight_pair_diff(rs, mu, v.inverse(), x.w)
         if diag:
             combo_axpy(out, x, c * diag)
-        for avee, y, _case in covers:
+        for _a, avee, y, _case in covers:
             k = rs.pair_weight(v.act_coroot(avee), mu)
             if k:
                 combo_axpy(out, y, c * k)
@@ -134,11 +103,11 @@ def twisted_c(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebra
     out: GroupAlgebraElt = {}
     for x, c in f.items():
         _require_margin(x)
-        v, covers = _far_covers(rs, x)
+        v, covers = far_covers(x)
         diag = _weight_pair_diff(rs, mu, v.inverse(), weyl_identity(rs))
         if diag:
             combo_axpy(out, x, c * diag)
-        for avee, y, _case in covers:
+        for _a, avee, y, _case in covers:
             k = rs.pair_weight(v.act_coroot(avee), mu)
             if k:
                 combo_axpy(out, y, c * (-k))
@@ -181,7 +150,8 @@ def b_element(rs: RootSystem, lam: CorootVec, mu_seq) -> NilHeckeElt:
     for mu in mu_seq:
         f = b_op(rs, mu, f)
     a = upsilon(f)
-    assert is_central(rs, a), "b element failed centrality"
+    if not is_central(rs, a):
+        raise AssertionError("b element failed centrality")
     return a
 
 
@@ -199,16 +169,13 @@ def j_units_needed(rs: RootSystem, w: WeylElt) -> int:
     return worst
 
 
+@cached("jclass")
 def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
     """j(xi_x) for Grassmannian superregular x, via quantum Schubert polynomials.
 
     Characterized by centrality plus Grassmannian part exactly A_x; both are
-    asserted.  Coefficients are integral polynomials in the simple roots.
+    certified.  Coefficients are integral polynomials in the simple roots.
     """
-    key = ("jclass", x)
-    hit = rs._cache.get(key)
-    if hit is not None:
-        return hit
     if not is_grassmannian(x):
         raise ValueError("j classes are indexed by Grassmannian elements")
     w = x.w
@@ -222,9 +189,10 @@ def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
         for k, c in combo_scale(b, a).items():
             combo_axpy(out, k, c)
     out = {k: c.to_int_coeffs() for k, c in out.items()}
-    assert mod_J(out) == {x: scalar_one(rs)}, "j class Grassmannian part is not A_x"
-    assert is_central(rs, out), "j class is not central"
-    rs._cache[key] = out
+    if mod_J(out) != {x: scalar_one(rs)}:
+        raise AssertionError("j class Grassmannian part is not A_x")
+    if not is_central(rs, out):
+        raise AssertionError("j class is not central")
     return out
 
 

@@ -9,16 +9,16 @@ superregular affine Bruhat order realizes each path as an affine element.
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cartan import RootSystem, RootVec
+from .cartan import RootSystem, RootVec, cached
 from .weyl import (
     AffineElt,
     WeylElt,
     bruhat_leq,
+    cover_table,
     enumerate_weyl,
     is_superregular,
     length,
-    positive_root_data,
-    reflection_of,
+    near_covers,
     superregular_antidominant,
     translation,
 )
@@ -62,27 +62,15 @@ class QBGraph:
         return nb, nq
 
 
+@cached("qbg")
 def build_qbg(rs: RootSystem) -> QBGraph:
-    key = ("qbg",)
-    g = rs._cache.get(key)
-    if g is not None:
-        return g
     W = enumerate_weyl(rs)
     edges: dict[WeylElt, list[QBEdge]] = {}
     for w in W:
-        lw = w.length()
-        out = []
-        for a, avee, ra, a2rho in positive_root_data(rs):
-            v = w * ra
-            lv = v.length()
-            if lv == lw + 1:
-                out.append(QBEdge(w, v, a, "bruhat"))
-            if lv == lw + 1 - a2rho:
-                out.append(QBEdge(w, v, a, "quantum"))
-        edges[w] = out
-    g = QBGraph(rs, W, edges)
-    rs._cache[key] = g
-    return g
+        ups, quantums, _, _ = cover_table(rs, w)
+        out = [QBEdge(w, wr, a, "bruhat") for a, _, wr in ups] + [QBEdge(w, wr, a, "quantum") for a, _, wr in quantums]
+        edges[w] = sorted(out, key=lambda e: rs.root_index[e.alpha])  # positive-root order
+    return QBGraph(rs, W, edges)
 
 
 def tilted_distance(g: QBGraph, u: WeylElt, w: WeylElt) -> int:
@@ -99,7 +87,6 @@ def tilted_leq(g: QBGraph, u: WeylElt, w: WeylElt, v: WeylElt) -> bool:
 def all_shortest_paths(g: QBGraph, u: WeylElt, w: WeylElt) -> list[list[QBEdge]]:
     """Every geodesic from u to w, as edge lists."""
     du = g.distances_from(u)
-    dw_needed = du[w]
 
     def extend(prefix, at):
         if at == w:
@@ -111,8 +98,6 @@ def all_shortest_paths(g: QBGraph, u: WeylElt, w: WeylElt) -> list[list[QBEdge]]
                 yield from extend(prefix, e.target)
                 prefix.pop()
 
-    if dw_needed is None:
-        return []
     return list(extend([], u))
 
 
@@ -126,25 +111,16 @@ def path_endpoint(path: list[QBEdge], lam, start: WeylElt | None = None) -> Affi
         if not path:
             raise ValueError("empty path needs an explicit start vertex")
         start = path[0].source
-    rs = start.rs
-    v = start
-    x = translation(rs, v.act_coroot(tuple(lam)))
-    steps = len(path)
-    if not is_superregular(x, slack=4 * steps):
+    x = translation(start.rs, start.act_coroot(tuple(lam)))
+    if not is_superregular(x, slack=4 * len(path)):
         raise ValueError("lam is not superregular enough for this path length")
-    at = v
+    at = start
     for e in path:
         if e.source != at:
             raise ValueError("path edges do not compose")
-        va = v.act_root(e.alpha)
-        rva = reflection_of(rs, va)
         lx = length(x)
-        if e.kind == "bruhat":
-            # case 1 cover: translation unchanged
-            y = AffineElt(x.w * rva, x.t)
-        else:
-            avee = rs.coroot_of(e.alpha)
-            y = AffineElt(x.w * rva, tuple(t + c for t, c in zip(x.t, v.act_coroot(avee))))
+        # x = w t_{start lam'} with w start = at: its near covers are the out-edges at `at`
+        y = next(y for a, _avee, y, _case in near_covers(x)[2] if a == e.alpha)
         assert length(y) == lx - 1, "path step is not a cover"
         x = y
         at = e.target
@@ -153,10 +129,7 @@ def path_endpoint(path: list[QBEdge], lam, start: WeylElt | None = None) -> Affi
 
 def endpoint_for_pair(g: QBGraph, u: WeylElt, w: WeylElt, lam) -> AffineElt:
     """x(u, w): common endpoint of all shortest paths u -> w (must agree)."""
-    paths = all_shortest_paths(g, u, w)
-    endpoints = {path_endpoint(p, lam, start=u) for p in paths} if paths else {
-        translation(g.rs, u.act_coroot(tuple(lam)))
-    }
+    endpoints = {path_endpoint(p, lam, start=u) for p in all_shortest_paths(g, u, w)}
     if len(endpoints) != 1:
         raise AssertionError(f"shortest paths from {u!r} to {w!r} have distinct endpoints")
     return endpoints.pop()

@@ -9,11 +9,10 @@ Chevalley operators.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cartan import CorootVec, RootSystem, WeightVec
-from .coeffring import Scalar, combo_axpy, scalar_one, weight_diff
-from .weyl import WeylElt, chevalley_terms, enumerate_weyl, longest_of, positive_root_data, weyl_identity
+from .cartan import CorootVec, RootSystem, WeightVec, cached, solve_rational
+from .coeffring import Scalar, combo_add, combo_axpy, combo_scale, scalar_one, weight_diff
+from .weyl import WeylElt, cover_table, enumerate_weyl, longest_of, weyl_identity
 
 QHClass = dict  # (WeylElt, qexp tuple) -> Scalar
 
@@ -30,7 +29,7 @@ def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
         d = weight_diff(rs, omega, w)
         if d:
             combo_axpy(out, (w, q), c * d)
-        ups, quantums = chevalley_terms(rs, w)
+        ups, quantums, _, _ = cover_table(rs, w)
         for a, avee, wr in ups:
             k = avee[i]
             if k:
@@ -73,55 +72,11 @@ def _poly_mul_var(rs, terms: dict, i: int) -> dict:
     return out
 
 
-def _poly_scale(terms: dict, s) -> dict:
-    out = {}
-    for k, c in terms.items():
-        combo_axpy(out, k, c * s)
-    return out
-
-
 def _poly_qshift(rs, terms: dict, shift) -> dict:
     out = {}
     for (q, word), c in terms.items():
         combo_axpy(out, (tuple(x + y for x, y in zip(q, shift)), word), c)
     return out
-
-
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        combo_axpy(out, k, c)
-    return out
-
-
-def _solve_rational(rows, cols, mat, target):
-    """One exact solution x of mat . x = target over Q; free variables 0."""
-    m = [[Fraction(mat.get((r, c), 0)) for c in cols] + [Fraction(target.get(r, 0))] for r in rows]
-    nr, nc = len(rows), len(cols)
-    piv_of_col = {}
-    rr = 0
-    for c in range(nc):
-        piv = next((r for r in range(rr, nr) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rr], m[piv] = m[piv], m[rr]
-        p = m[rr][c]
-        m[rr] = [x / p for x in m[rr]]
-        for r in range(nr):
-            if r != rr and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rr])]
-        piv_of_col[c] = rr
-        rr += 1
-        if rr == nr:
-            break
-    for r in range(nr):
-        if all(x == 0 for x in m[r][:nc]) and m[r][nc] != 0:
-            raise ValueError("inconsistent linear system in Schubert polynomial extraction")
-    sol = [Fraction(0)] * nc
-    for c, r in piv_of_col.items():
-        sol[c] = m[r][nc]
-    return sol
 
 
 class _PolyTable:
@@ -141,54 +96,51 @@ class _PolyTable:
         polys = self.polys
         for l in range(self.built + 1, top + 1):
             layer = self.by_len[l]
-            prev = self.by_len[l - 1]
-            unknowns = [(u, i) for u in prev for i in range(rs.rank)]
+            unknowns = [(u, i) for u in self.by_len[l - 1] for i in range(rs.rank)]
             mat = {}
             for (u, i) in unknowns:
-                ups, _ = chevalley_terms(rs, u)
-                for a, avee, ur in ups:
+                for a, avee, ur in cover_table(rs, u)[0]:
                     if avee[i]:
                         mat[(ur, (u, i))] = mat.get((ur, (u, i)), 0) + avee[i]
-            for target in layer:
-                sol = _solve_rational(layer, unknowns, mat, {target: 1})
+            sols = solve_rational(layer, unknowns, mat, [{target: 1} for target in layer])
+            for target, sol in zip(layer, sols):
                 terms: dict = {}
                 for x, (u, i) in zip(sol, unknowns):
                     if not x:
                         continue
                     # x * omega_i * S_u, minus the equivariant and quantum corrections
-                    terms = _poly_add(terms, _poly_scale(_poly_mul_var(rs, polys[u], i), x))
+                    terms = combo_add(terms, combo_scale(_poly_mul_var(rs, polys[u], i), x))
                     d = weight_diff(rs, rs.fundamental_weight(i), u)
                     if d:
-                        terms = _poly_add(terms, _poly_scale(polys[u], d * (-x)))
-                    _, quantums = chevalley_terms(rs, u)
-                    for a, avee, ur in quantums:
+                        terms = combo_add(terms, combo_scale(polys[u], d * (-x)))
+                    for a, avee, ur in cover_table(rs, u)[1]:
                         k = avee[i]
                         if k:
                             corr = _poly_qshift(rs, polys[ur], avee)
-                            terms = _poly_add(terms, _poly_scale(corr, -x * k))
+                            terms = combo_add(terms, combo_scale(corr, -x * k))
                 polys[target] = terms
             self.built = l
 
 
+@cached("qschub-table")
+def _poly_table(rs: RootSystem) -> _PolyTable:
+    return _PolyTable(rs)
+
+
+@cached("qschub")
 def schubert_poly(rs: RootSystem, w: WeylElt) -> QSchubertPoly:
     """A deterministic equivariant quantum Schubert polynomial for sigma^w."""
-    key = ("qschub", w.perm)
-    hit = rs._cache.get(key)
-    if hit is not None:
-        return hit
-    table = rs._cache.get(("qschub-table",))
-    if table is None:
-        table = rs._cache[("qschub-table",)] = _PolyTable(rs)
+    table = _poly_table(rs)
     table.extend(rs, w.length())
     terms = table.polys[w]
     # coefficients may be honestly rational (outside simply-laced types the
     # degree-2 classes need not generate over Z); every evaluated class is
     # integral and products assert that downstream
     poly = QSchubertPoly(w, terms)
-    assert evaluate_poly(rs, poly) == qh_basis(rs, w), "Schubert polynomial round-trip failed"
+    if evaluate_poly(rs, poly) != qh_basis(rs, w):
+        raise AssertionError("Schubert polynomial round-trip failed")
     for (q, _word) in terms:
         assert all(e >= 0 for e in q)
-    rs._cache[key] = poly
     return poly
 
 
@@ -204,12 +156,9 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly) -> QHClass:
     return out
 
 
+@cached("qhprod")
 def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
     """sigma^u * sigma^v."""
-    key = ("qhprod", u.perm, v.perm)
-    hit = rs._cache.get(key)
-    if hit is not None:
-        return hit
     poly = schubert_poly(rs, u)
     out: QHClass = {}
     for (q, word), c in poly.terms.items():
@@ -219,9 +168,7 @@ def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
         for (x, qx), s in cur.items():
             combo_axpy(out, (x, tuple(a + b for a, b in zip(qx, q))), s * c)
     # rational bookkeeping must cancel: structure constants live in Z[alpha]
-    out = {k: c.to_int_coeffs() for k, c in out.items()}
-    rs._cache[key] = out
-    return out
+    return {k: c.to_int_coeffs() for k, c in out.items()}
 
 
 def product(rs: RootSystem, a: QHClass, b: QHClass) -> QHClass:
@@ -279,17 +226,15 @@ def parabolic_chevalley(pd, i: int, sigma: QHClass) -> QHClass:
         d = weight_diff(rs, omega, w)
         if d:
             combo_axpy(out, (w, q), c * d)
-        lw = w.length()
-        for a, avee, ra, a2rho in positive_root_data(rs):
-            if a in rp_plus or not avee[i]:
-                continue
-            wr = w * ra
-            lwr = wr.length()
-            if lwr == lw + 1 and pd.is_minimal_rep(wr):
+        ups, quantums, _, _ = cover_table(rs, w)
+        for a, avee, wr in ups:
+            if a not in rp_plus and avee[i] and pd.is_minimal_rep(wr):
                 combo_axpy(out, (wr, q), c * avee[i])
-            if lwr == lw + 1 - a2rho:
+        for a, avee, wr in quantums:
+            if a not in rp_plus and avee[i]:
+                # l(pi_P(w r_alpha)) = l(w) + 1 - <alpha^vee, 2 rho - 2 rho_P>
                 pwr = pd.pi_finite(wr)
-                if pwr.length() == lw + 1 - (a2rho - pd.pair_two_rho_p(avee)):
+                if pwr.length() == wr.length() + pd.pair_two_rho_p(avee):
                     q2 = tuple(x + y for x, y in zip(q, pd.eta(avee)))
                     combo_axpy(out, (pwr, q2), c * avee[i])
     return out

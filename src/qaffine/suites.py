@@ -18,7 +18,6 @@ from .parabolic import (
     in_JP,
     parabolic_basis_element,
     partition_to_affine,
-    pi_P,
     pi_P_translation,
     quotient_generator,
     quotient_product,

@@ -13,7 +13,7 @@ translation.
 from dataclasses import dataclass
 from math import gcd
 
-from .cartan import AffineRoot, CorootVec, RootSystem, RootVec
+from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, cached
 
 
 class WeylElt:
@@ -125,40 +125,28 @@ def _pos(v) -> bool:
     return any(c > 0 for c in v)
 
 
+@cached("wid")
 def weyl_identity(rs: RootSystem) -> WeylElt:
-    key = ("wid",)
-    e = rs._cache.get(key)
-    if e is None:
-        e = WeylElt(rs, tuple(range(len(rs.roots))))
-        rs._cache[key] = e
-    return e
+    return WeylElt(rs, tuple(range(len(rs.roots))))
 
 
+@cached("sref")
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
-    key = ("sref", i)
-    e = rs._cache.get(key)
-    if e is None:
-        e = WeylElt(rs, rs.simple_perms[i])
-        rs._cache[key] = e
-    return e
+    return WeylElt(rs, rs.simple_perms[i])
 
 
+@cached("refl")
 def reflection_of(rs: RootSystem, alpha: RootVec) -> WeylElt:
     """The reflection r_alpha for a root alpha (either sign)."""
-    key = ("refl", alpha)
-    e = rs._cache.get(key)
-    if e is None:
-        if not rs.is_root(alpha):
-            raise ValueError(f"{alpha} is not a root")
-        # r_alpha(beta) = beta - <alpha^vee, beta> alpha
-        avee = rs.coroot_of(alpha)
-        perm = []
-        for beta in rs.roots:
-            p = rs.pair(avee, beta)
-            perm.append(rs.root_index[tuple(b - p * a for a, b in zip(alpha, beta))])
-        e = WeylElt(rs, tuple(perm))
-        rs._cache[key] = e
-    return e
+    if not rs.is_root(alpha):
+        raise ValueError(f"{alpha} is not a root")
+    # r_alpha(beta) = beta - <alpha^vee, beta> alpha
+    avee = rs.coroot_of(alpha)
+    perm = []
+    for beta in rs.roots:
+        p = rs.pair(avee, beta)
+        perm.append(rs.root_index[tuple(b - p * a for a, b in zip(alpha, beta))])
+    return WeylElt(rs, tuple(perm))
 
 
 def from_word(rs: RootSystem, word) -> WeylElt:
@@ -174,65 +162,49 @@ def _image_matrix(w: WeylElt) -> tuple:
     return tuple(zip(*(rs.roots[w.perm[s]] for s in rs.simple_index)))
 
 
-def enumerate_weyl(rs: RootSystem, cap: int = 100000) -> list[WeylElt]:
+@cached("W")
+def enumerate_weyl(rs: RootSystem) -> list[WeylElt]:
     """All elements of W, sorted by (length, matrix of images of simple roots)."""
-    key = ("W",)
-    lst = rs._cache.get(key)
-    if lst is None:
-        if rs.weyl_order > cap:
-            raise ValueError(f"|W| = {rs.weyl_order} too large to enumerate")
-        gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-        e = weyl_identity(rs)
-        seen = {e.perm: e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    if y.perm not in seen:
-                        seen[y.perm] = y
-                        nxt.append(y)
-            frontier = nxt
-        lst = sorted(seen.values(), key=lambda w: (w.length(), _image_matrix(w)))
-        assert len(lst) == rs.weyl_order
-        rs._cache[key] = lst
+    if rs.weyl_order > 100000:
+        raise ValueError(f"|W| = {rs.weyl_order} too large to enumerate")
+    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
+    e = weyl_identity(rs)
+    seen = {e.perm: e}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y.perm not in seen:
+                    seen[y.perm] = y
+                    nxt.append(y)
+        frontier = nxt
+    lst = sorted(seen.values(), key=lambda w: (w.length(), _image_matrix(w)))
+    assert len(lst) == rs.weyl_order
     return lst
 
 
 def longest_of(rs: RootSystem, nodes) -> WeylElt:
-    """The longest element of the parabolic subgroup W_J, J = nodes, by a
-    walk r_j up while some j in J has w alpha_j > 0."""
-    nodes = tuple(sorted(nodes))
-    key = ("w0", nodes)
-    w = rs._cache.get(key)
-    if w is None:
-        w = weyl_identity(rs)
-        while True:
-            for j in nodes:
-                if not w.descends(j):
-                    w = w * simple_reflection(rs, j)
-                    break
-            else:
+    """The longest element of the parabolic subgroup W_J, J = nodes (any iterable)."""
+    return _longest_walk(rs, tuple(sorted(nodes)))
+
+
+@cached("w0")
+def _longest_walk(rs: RootSystem, nodes: tuple) -> WeylElt:
+    # walk r_j up while some j in J has w alpha_j > 0
+    w = weyl_identity(rs)
+    while True:
+        for j in nodes:
+            if not w.descends(j):
+                w = w * simple_reflection(rs, j)
                 break
-        rs._cache[key] = w
-    return w
+        else:
+            return w
 
 
 def longest_element(rs: RootSystem) -> WeylElt:
     return longest_of(rs, range(rs.rank))
-
-
-def positive_root_data(rs: RootSystem):
-    """List of (alpha, alpha_vee, r_alpha, <alpha^vee, 2 rho>) over R^+."""
-    key = ("prd",)
-    data = rs._cache.get(key)
-    if data is None:
-        data = tuple(
-            (a, rs.coroot_of(a), reflection_of(rs, a), 2 * sum(rs.coroot_of(a))) for a in rs.positive_roots
-        )
-        rs._cache[key] = data
-    return data
 
 
 class AffineElt:
@@ -373,12 +345,9 @@ def cocovers(x: AffineElt) -> list[CoverRecord]:
     return out
 
 
+@cached("chamber")
 def chamber_decompose(rs: RootSystem, tau: CorootVec) -> tuple[WeylElt, CorootVec]:
     """Write tau = v . lam with lam antidominant; v is minimal such."""
-    key = ("chamber", tau)
-    hit = rs._cache.get(key)
-    if hit is not None:
-        return hit
     v = weyl_identity(rs)
     lam = tuple(tau)
     while True:
@@ -388,7 +357,6 @@ def chamber_decompose(rs: RootSystem, tau: CorootVec) -> tuple[WeylElt, CorootVe
                 v = v * simple_reflection(rs, i)
                 break
         else:
-            rs._cache[key] = (v, lam)
             return v, lam
 
 
@@ -403,23 +371,96 @@ def is_superregular(x: AffineElt, slack: int = 0) -> bool:
     return superregular_margin(x) >= slack
 
 
+@cached("sregbase")
+def _sreg_base(rs: RootSystem) -> CorootVec:
+    # integer coroot vector with <base, alpha_j> = -m for all j, i.e.
+    # -m (C^T)^{-1} 1: column sums of the adjugate, divided by their gcd
+    col = [sum(row[i] for row in rs.cartan_adj) for i in range(rs.rank)]
+    g = gcd(*col, rs.cartan_det)
+    base = tuple(-c // g for c in col)
+    assert all(rs.pair(base, rs.simple_root(j)) == rs.pair(base, rs.simple_root(0)) < 0
+               for j in range(rs.rank))
+    return base
+
+
 def superregular_antidominant(rs: RootSystem, units: int = 0, shift: int = 0) -> CorootVec:
     """An antidominant lam with margin >= 4 * units (one unit per operator step)."""
-    key = ("sregbase",)
-    base = rs._cache.get(key)
-    if base is None:
-        # integer coroot vector with <base, alpha_j> = -m for all j, i.e.
-        # -m (C^T)^{-1} 1: column sums of the adjugate, divided by their gcd
-        col = [sum(row[i] for row in rs.cartan_adj) for i in range(rs.rank)]
-        g = gcd(*col, rs.cartan_det)
-        base = tuple(-c // g for c in col)
-        assert all(rs.pair(base, rs.simple_root(j)) == rs.pair(base, rs.simple_root(0)) < 0
-                   for j in range(rs.rank))
-        rs._cache[key] = base
+    base = _sreg_base(rs)
     m = -rs.pair(base, rs.simple_root(0))
     need = 2 * rs.weyl_order + 2 + 4 * units + shift
     k = -(-need // m)  # ceil
     return tuple(k * c for c in base)
+
+
+@cached("covers")
+def cover_table(rs: RootSystem, w: WeylElt):
+    """The quantum Bruhat graph at w (Brenti-Fomin-Postnikov): (ups, quantums, downs, qups).
+
+    Each is a tuple of rows (alpha, alpha^vee, w r_alpha) in positive-root
+    order, classified by d = l(w r_alpha) - l(w): ups d = 1 and quantums
+    d = 1 - <alpha^vee, 2 rho> are the out-edges of w; downs d = -1 and qups
+    d = <alpha^vee, 2 rho> - 1 are its in-edges (from w r_alpha).  The tests are
+    independent: for a simple alpha, <alpha^vee, 2 rho> = 2, so a down is also a
+    quantum and an up also a qup.
+    """
+    lw = w.length()
+    ups, quantums, downs, qups = [], [], [], []
+    for a in rs.positive_roots:
+        avee = rs.coroot_of(a)
+        wr = w * reflection_of(rs, a)
+        d = wr.length() - lw
+        a2rho = 2 * sum(avee)
+        if d == 1:
+            ups.append((a, avee, wr))
+        if d == 1 - a2rho:
+            quantums.append((a, avee, wr))
+        if d == -1:
+            downs.append((a, avee, wr))
+        if d == a2rho - 1:
+            qups.append((a, avee, wr))
+    return tuple(ups), tuple(quantums), tuple(downs), tuple(qups)
+
+
+@cached("wr")
+def _times_reflection(rs: RootSystem, w: WeylElt, beta: RootVec) -> WeylElt:
+    # w r_beta, the finite part of a superregular cocover of w t_lam; kept, so
+    # the cocovers of many elements share at most |W| |R| of them
+    return w * reflection_of(rs, beta)
+
+
+def near_covers(x: AffineElt):
+    """Near cocovers of superregular x = w t_{v lam}, the out-edges at w v.
+
+    Returns (v, w v, [(alpha, alpha^vee, y, case) ...]).
+    """
+    rs = x.rs
+    v, _lam = chamber_decompose(rs, x.t)
+    wv = x.w * v
+    ups, quantums, _, _ = cover_table(rs, wv)
+    out = []
+    for a, avee, _ in ups:  # case 1: translation unchanged
+        out.append((a, avee, AffineElt(_times_reflection(rs, x.w, v.act_root(a)), x.t), 1))
+    for a, avee, _ in quantums:  # case 2: lam gains alpha^vee
+        t2 = tuple(p + q for p, q in zip(x.t, v.act_coroot(avee)))
+        out.append((a, avee, AffineElt(_times_reflection(rs, x.w, v.act_root(a)), t2), 2))
+    return v, wv, out
+
+
+def far_covers(x: AffineElt):
+    """Far cocovers of superregular x = w t_{v lam}, the in-edges at v.
+
+    Returns (v, [(alpha, alpha^vee, y, case) ...]).
+    """
+    rs = x.rs
+    v, lam = chamber_decompose(rs, x.t)
+    _, _, downs, qups = cover_table(rs, v)
+    out = []
+    for a, avee, vr in downs:  # case 3
+        out.append((a, avee, AffineElt(_times_reflection(rs, x.w, v.act_root(a)), vr.act_coroot(lam)), 3))
+    for a, avee, vr in qups:  # case 4
+        lam2 = tuple(p + q for p, q in zip(lam, avee))
+        out.append((a, avee, AffineElt(_times_reflection(rs, x.w, v.act_root(a)), vr.act_coroot(lam2)), 4))
+    return v, out
 
 
 def cocovers_superregular(x: AffineElt, validate: bool = True) -> list[CoverRecord]:
@@ -428,44 +469,20 @@ def cocovers_superregular(x: AffineElt, validate: bool = True) -> list[CoverReco
     if not is_superregular(x):
         raise ValueError("element is not superregular")
     v, lam = chamber_decompose(rs, x.t)
-    w = x.w
     out = []
-    wv = w * v
-    lwv = wv.length()
-    lv = v.length()
-    for a, avee, ra, a2rho in positive_root_data(rs):
-        wvra_len = (wv * ra).length()
-        vra_len = (v * ra).length()
-        va = v.act_root(a)
-        w_rva = w * reflection_of(rs, va)
+    for a, _avee, y, case in near_covers(x)[2] + far_covers(x)[1]:
         p = rs.pair(lam, a)
-        if wvra_len == lwv + 1:  # case 1, near
-            n = p
-            y = AffineElt(w_rva, x.t)
-            out.append(_cover(x, y, va, n, "near", 1, a))
-        if wvra_len == lwv - a2rho + 1:  # case 2, near
-            n = p + 1
-            y = AffineElt(w_rva, v.act_coroot(tuple(l + c for l, c in zip(lam, avee))))
-            out.append(_cover(x, y, va, n, "near", 2, a))
-        if vra_len == lv - 1:  # case 3, far
-            y = AffineElt(w_rva, (v * ra).act_coroot(lam))
-            out.append(_cover(x, y, va, 0, "far", 3, a))
-        if vra_len == lv + a2rho - 1:  # case 4, far
-            y = AffineElt(w_rva, (v * ra).act_coroot(tuple(l + c for l, c in zip(lam, avee))))
-            out.append(_cover(x, y, va, -1, "far", 4, a))
+        # the positive affine root of the reflection is -(v alpha) - n delta
+        beta = AffineRoot(v.act_root(a), (p, p + 1, 0, -1)[case - 1])
+        if beta.is_positive():
+            raise AssertionError("superregular cover reflection root unexpectedly positive")
+        out.append(CoverRecord(x, y, -beta, "near" if case < 3 else "far", case, a))
     if validate:
         got = {(c.target, c.reflection_root) for c in out}
         want = {(c.target, c.reflection_root) for c in cocovers(x)}
-        assert got == want, "superregular classification disagrees with cover enumeration"
+        if got != want:
+            raise AssertionError("superregular classification disagrees with cover enumeration")
     return out
-
-
-def _cover(x, y, va, n, kind, case, alpha) -> CoverRecord:
-    # the positive affine root of the reflection is -(v alpha) - n delta here
-    beta = AffineRoot(va, n)
-    if beta.is_positive():
-        raise AssertionError("superregular cover reflection root unexpectedly positive")
-    return CoverRecord(x, y, -beta, kind, case, alpha)
 
 
 def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
@@ -513,54 +530,6 @@ def reduced_word(x: AffineElt) -> tuple[int, ...]:
             raise AssertionError("no right descent found")
     out.reverse()
     return tuple(out)
-
-
-def chevalley_terms(rs: RootSystem, w: WeylElt):
-    """Cached Chevalley data at w: (ups, quantums).
-
-    ups      = ((alpha, alpha_vee, w r_alpha) ...) with l(w r_alpha) = l(w) + 1,
-    quantums = same with l(w r_alpha) = l(w) + 1 - <alpha^vee, 2 rho>.
-    """
-    key = ("chev", w.perm)
-    val = rs._cache.get(key)
-    if val is None:
-        lw = w.length()
-        ups = []
-        quantums = []
-        for a, avee, ra, a2rho in positive_root_data(rs):
-            wr = w * ra
-            lwr = wr.length()
-            if lwr == lw + 1:
-                ups.append((a, avee, wr))
-            if lwr == lw + 1 - a2rho:
-                quantums.append((a, avee, wr))
-        val = (tuple(ups), tuple(quantums))
-        rs._cache[key] = val
-    return val
-
-
-def descent_terms(rs: RootSystem, v: WeylElt):
-    """Cached far-cover data at v: (downs, qups).
-
-    downs = ((alpha, alpha_vee, v r_alpha) ...) with l(v r_alpha) = l(v) - 1,
-    qups  = same with l(v r_alpha) = l(v) + <alpha^vee, 2 rho> - 1.
-    """
-    key = ("desc", v.perm)
-    val = rs._cache.get(key)
-    if val is None:
-        lv = v.length()
-        downs = []
-        qups = []
-        for a, avee, ra, a2rho in positive_root_data(rs):
-            vr = v * ra
-            lvr = vr.length()
-            if lvr == lv - 1:
-                downs.append((a, avee, vr))
-            if lvr == lv + a2rho - 1:
-                qups.append((a, avee, vr))
-        val = (tuple(downs), tuple(qups))
-        rs._cache[key] = val
-    return val
 
 
 def serialize(x: AffineElt) -> dict:

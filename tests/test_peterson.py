@@ -251,7 +251,7 @@ def test_hom_product_borel_chevalley_structure():
     rs = cartan.build("A2")
     lam = superregular_antidominant(rs, units=3)
     mu = superregular_antidominant(rs, units=4)
-    from qaffine.weyl import chevalley_terms
+    from qaffine.weyl import cover_table
 
     for i in range(2):
         for w in enumerate_weyl(rs):
@@ -263,7 +263,7 @@ def test_hom_product_borel_chevalley_structure():
             d = weight_diff(rs, rs.fundamental_weight(i), w)
             if d:
                 combo_axpy(expect, AffineElt(w, lam_mu), d)
-            ups, quantums = chevalley_terms(rs, w)
+            ups, quantums, _, _ = cover_table(rs, w)
             for a, avee, wr in ups:
                 if avee[i]:
                     combo_axpy(expect, AffineElt(wr, lam_mu), Scalar.const(avee[i], 2))
@@ -538,3 +538,26 @@ def test_pieri_matches_hom_product():
         full = hom_product_basis(rs, r0, x)
         nonequiv = {k: v.eval_zero() for k, v in full.items() if v.eval_zero()}
         assert via_pieri == nonequiv
+
+
+def test_centrality_certificate_survives_python_O():
+    # the certificate is an explicit check, so python -O cannot strip it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        "import sys",
+        "from qaffine import cartan, peterson",
+        "from qaffine.weyl import superregular_antidominant",
+        "rs = cartan.build('A1')",
+        "peterson.is_central = lambda rs, a: False",
+        "try:",
+        "    peterson.b_element(rs, superregular_antidominant(rs, units=1), [(1,)])",
+        "except AssertionError as e:",
+        "    print(sys.flags.optimize, e)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "1 b element failed centrality"
