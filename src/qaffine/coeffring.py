@@ -1,8 +1,11 @@
 """Exact coefficient arithmetic.
 
 ``Scalar`` is a sparse polynomial in the simple-root variables a1..ar with
-integer coefficients (Fractions are tolerated so intermediate eliminations
-can run over Q; nothing downstream stores a non-integral Scalar).
+integer coefficients, or Fractions where a coefficient is honestly rational:
+eliminations run over Q, and the quantum Schubert polynomials of B3, C3 and
+G2 keep non-integral coefficients (``with_int_coeffs`` stores the integral
+ones as ints).  Structure constants and j-classes are integral
+(``to_int_coeffs`` checks this).
 ``q_lambda`` monomials are bare coroot-coordinate tuples.  Group-algebra /
 module elements over S are plain dicts ``key -> Scalar`` with no zero values
 stored; the ``combo_*`` helpers keep that invariant.
@@ -131,16 +134,18 @@ class Scalar:
         return all(isinstance(c, int) and c >= 0 or (isinstance(c, Fraction) and c.denominator == 1 and c >= 0)
                    for c in self.terms.values())
 
-    def to_int_coeffs(self) -> "Scalar":
-        out = {}
-        for e, c in self.terms.items():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError(f"non-integral coefficient {c}")
-                c = int(c)
-            out[e] = c
+    def with_int_coeffs(self) -> "Scalar":
+        """The same polynomial with every integral coefficient stored as an int."""
         s = Scalar()
-        s.terms = out
+        s.terms = {e: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+                   for e, c in self.terms.items()}
+        return s
+
+    def to_int_coeffs(self) -> "Scalar":
+        s = self.with_int_coeffs()
+        for c in s.terms.values():
+            if isinstance(c, Fraction):
+                raise ValueError(f"non-integral coefficient {c}")
         return s
 
     def exact_divide_by_linear(self, lin: "Scalar") -> "Scalar":
@@ -168,9 +173,7 @@ class Scalar:
                     rem[te] = n
                 else:
                     rem.pop(te, None)
-        s = Scalar()
-        s.terms = {e: (int(c) if c.denominator == 1 else c) for e, c in quo.items() if c}
-        return s
+        return Scalar(quo).with_int_coeffs()
 
     def __str__(self):
         if not self.terms:

@@ -395,6 +395,7 @@ def star(rs: RootSystem) -> tuple:
     return perm
 
 
+@cached("theta")
 def theta_cominuscule(pd: ParabolicData, y: WeylElt) -> AffineElt:
     """The section W^P -> (W^P)_af ∩ W_af^- through the affine automorphisms."""
     rs = pd.rs

@@ -254,7 +254,8 @@ def hom_product_basis(rs: RootSystem, x: AffineElt, z: AffineElt) -> dict:
     out = {}
     for y, c in t.items():
         yb = y.translate(back)
-        assert is_grassmannian(yb), "translated product term failed to shift back"
+        if not is_grassmannian(yb):
+            raise AssertionError("translated product term failed to shift back")
         out[yb] = c
     return out
 

@@ -21,12 +21,17 @@ def qh_basis(rs: RootSystem, w: WeylElt, qexp: CorootVec | None = None) -> QHCla
     return {(w, qexp if qexp is not None else rs.zero_coroot()): scalar_one(rs)}
 
 
+@cached("omega-diff")
+def _omega_diff(rs: RootSystem, i: int, w: WeylElt) -> Scalar:
+    """omega_i - w.omega_i, the diagonal part of the Chevalley operator at w."""
+    return weight_diff(rs, rs.fundamental_weight(i), w)
+
+
 def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
     """Multiplication by the divisor class sigma^{r_i} (0-based node i)."""
     out: QHClass = {}
-    omega = rs.fundamental_weight(i)
     for (w, q), c in sigma.items():
-        d = weight_diff(rs, omega, w)
+        d = _omega_diff(rs, i, w)
         if d:
             combo_axpy(out, (w, q), c * d)
         ups, quantums, _, _ = cover_table(rs, w)
@@ -57,7 +62,8 @@ class QSchubertPoly:
 
     Words are sorted tuples of 0-based fundamental-weight indices; evaluating
     the polynomial through the Chevalley operators returns the Schubert class
-    it represents, which is asserted at construction time.
+    it represents, which ``schubert_poly`` certifies.  Integral coefficients
+    are stored as ints.
     """
 
     w: WeylElt
@@ -108,9 +114,11 @@ class _PolyTable:
                 for x, (u, i) in zip(sol, unknowns):
                     if not x:
                         continue
+                    if x.denominator == 1:
+                        x = int(x)
                     # x * omega_i * S_u, minus the equivariant and quantum corrections
                     terms = combo_add(terms, combo_scale(_poly_mul_var(rs, polys[u], i), x))
-                    d = weight_diff(rs, rs.fundamental_weight(i), u)
+                    d = _omega_diff(rs, i, u)
                     if d:
                         terms = combo_add(terms, combo_scale(polys[u], d * (-x)))
                     for a, avee, ur in cover_table(rs, u)[1]:
@@ -118,7 +126,7 @@ class _PolyTable:
                         if k:
                             corr = _poly_qshift(rs, polys[ur], avee)
                             terms = combo_add(terms, combo_scale(corr, -x * k))
-                polys[target] = terms
+                polys[target] = {k: c.with_int_coeffs() for k, c in terms.items()}
             self.built = l
 
 
@@ -135,23 +143,29 @@ def schubert_poly(rs: RootSystem, w: WeylElt) -> QSchubertPoly:
     terms = table.polys[w]
     # coefficients may be honestly rational (outside simply-laced types the
     # degree-2 classes need not generate over Z); every evaluated class is
-    # integral and products assert that downstream
+    # integral and product_basis checks that downstream
     poly = QSchubertPoly(w, terms)
     if evaluate_poly(rs, poly) != qh_basis(rs, w):
         raise AssertionError("Schubert polynomial round-trip failed")
-    for (q, _word) in terms:
-        assert all(e >= 0 for e in q)
+    if any(e < 0 for q, _word in terms for e in q):
+        raise AssertionError("Schubert polynomial has a negative q-shift")
     return poly
 
 
-def evaluate_poly(rs: RootSystem, poly: QSchubertPoly) -> QHClass:
-    """Image of the polynomial in the quantum ring (the round-trip oracle)."""
+def evaluate_poly(rs: RootSystem, poly: QSchubertPoly, start: QHClass | None = None) -> QHClass:
+    """The polynomial applied to ``start``; the default sigma^id gives the
+    round-trip oracle, so the image is the class the polynomial represents.
+
+    The terms' words are walked as a prefix trie: each distinct non-empty
+    prefix costs one Chevalley application, however many terms share it.
+    """
+    reached = {(): qh_basis(rs, weyl_identity(rs)) if start is None else start}
     out: QHClass = {}
     for (q, word), c in poly.terms.items():
-        cur = qh_basis(rs, weyl_identity(rs))
-        for i in word:
-            cur = chevalley(rs, i, cur)
-        for (v, qv), s in cur.items():
+        for k in range(1, len(word) + 1):
+            if word[:k] not in reached:
+                reached[word[:k]] = chevalley(rs, word[k - 1], reached[word[:k - 1]])
+        for (v, qv), s in reached[word].items():
             combo_axpy(out, (v, tuple(x + y for x, y in zip(qv, q))), s * c)
     return out
 
@@ -159,14 +173,7 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly) -> QHClass:
 @cached("qhprod")
 def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
     """sigma^u * sigma^v."""
-    poly = schubert_poly(rs, u)
-    out: QHClass = {}
-    for (q, word), c in poly.terms.items():
-        cur = qh_basis(rs, v)
-        for i in word:
-            cur = chevalley(rs, i, cur)
-        for (x, qx), s in cur.items():
-            combo_axpy(out, (x, tuple(a + b for a, b in zip(qx, q))), s * c)
+    out = evaluate_poly(rs, schubert_poly(rs, u), qh_basis(rs, v))
     # rational bookkeeping must cancel: structure constants live in Z[alpha]
     return {k: c.to_int_coeffs() for k, c in out.items()}
 
@@ -220,10 +227,9 @@ def parabolic_chevalley(pd, i: int, sigma: QHClass) -> QHClass:
     if i in pd.nodes:
         raise ValueError("Chevalley node must lie outside the parabolic node set")
     out: QHClass = {}
-    omega = rs.fundamental_weight(i)
     rp_plus = set(pd.rp_positive)
     for (w, q), c in sigma.items():
-        d = weight_diff(rs, omega, w)
+        d = _omega_diff(rs, i, w)
         if d:
             combo_axpy(out, (w, q), c * d)
         ups, quantums, _, _ = cover_table(rs, w)
@@ -257,5 +263,6 @@ def pw_lift(pd, lam_p) -> tuple[CorootVec, frozenset, WeylElt]:
     ipp = frozenset(pd.nodes) - {j for j in jms if j is not None}
     wp = pd.longest_wp()
     wpp = longest_of(rs, ipp)
-    assert v == wp * wpp, "component representatives disagree with w_P w_{P'}"
+    if v != wp * wpp:
+        raise AssertionError("component representatives disagree with w_P w_{P'}")
     return lam_b, ipp, v

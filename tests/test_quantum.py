@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
-from qaffine import cartan
-from qaffine.coeffring import Scalar, scalar_one
+from qaffine import cartan, quantum
+from qaffine.coeffring import Scalar, combo_axpy, scalar_one
 from qaffine.quantum import (
     chevalley,
     chevalley_weight,
@@ -201,3 +202,87 @@ def test_general_product_bilinear():
     for (w, q), c in product_basis(rs, s(rs, 0), s(rs, 1)).items():
         combo_axpy(expect, (w, (q[0] + 1, q[1])), c)
     assert ab == expect
+
+
+def _reference_evaluate(rs, poly, start):
+    # one Chevalley chain per term, from start, with no sharing between terms
+    out = {}
+    for (q, word), c in poly.terms.items():
+        cur = start
+        for i in word:
+            cur = chevalley(rs, i, cur)
+        for (v, qv), t in cur.items():
+            combo_axpy(out, (v, tuple(x + y for x, y in zip(qv, q))), t * c)
+    return out
+
+
+def test_product_and_evaluate_match_per_term_reference():
+    for lbl, maxlen in [("A2", None), ("B2", None), ("G2", None), ("B3", 3)]:
+        rs = cartan.build(lbl)
+        W = [w for w in enumerate_weyl(rs) if maxlen is None or w.length() <= maxlen]
+        for u in W:
+            poly = schubert_poly(rs, u)
+            ref = _reference_evaluate(rs, poly, qh_basis(rs, weyl_identity(rs)))
+            assert evaluate_poly(rs, poly) == ref == qh_basis(rs, u)
+            for v in W:
+                ref = _reference_evaluate(rs, poly, qh_basis(rs, v))
+                assert evaluate_poly(rs, poly, qh_basis(rs, v)) == ref
+                got = product_basis(rs, u, v)
+                assert got == {k: c.to_int_coeffs() for k, c in ref.items()}
+                assert all(type(x) is int for c in got.values() for x in c.terms.values())
+
+
+def test_evaluate_poly_one_chevalley_call_per_prefix(monkeypatch):
+    calls = []
+    real = quantum.chevalley
+
+    def counting(rs, i, sigma):
+        calls.append(i)
+        return real(rs, i, sigma)
+
+    monkeypatch.setattr(quantum, "chevalley", counting)
+    for lbl in ["A3", "B3", "G2"]:
+        rs = cartan.build(lbl)
+        for w in [longest_element(rs)] + random.Random(3).sample(enumerate_weyl(rs), 4):
+            poly = schubert_poly(rs, w)
+            prefixes = {word[:k] for (_q, word) in poly.terms for k in range(1, len(word) + 1)}
+            calls.clear()
+            assert evaluate_poly(rs, poly) == qh_basis(rs, w)
+            assert len(calls) == len(prefixes)
+
+
+def test_integral_poly_coefficients_stored_as_int():
+    rs = cartan.build("B3")
+    rational = 0
+    for w in enumerate_weyl(rs):
+        for c in schubert_poly(rs, w).terms.values():
+            for x in c.terms.values():
+                assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                rational += type(x) is Fraction
+    # B3 needs honestly rational coefficients, so the Fraction path stays in use
+    assert rational > 0
+
+
+def test_certificates_survive_python_O():
+    # explicit raises, so python -O cannot strip them
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        "import sys",
+        "from qaffine import cartan, quantum",
+        "from qaffine.parabolic import build_parabolic",
+        "from qaffine.weyl import simple_reflection",
+        "pd = build_parabolic(cartan.build('A3'), [1, 2])",
+        "real = quantum.longest_of",
+        "quantum.longest_of = lambda rs, nodes: real(rs, nodes) * simple_reflection(rs, 0)",
+        "try:",
+        "    quantum.pw_lift(pd, (-1,))",
+        "except AssertionError as e:",
+        "    print(sys.flags.optimize, e)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "1 component representatives disagree with w_P w_{P'}"
