@@ -13,7 +13,7 @@ stored; the ``combo_*`` helpers keep that invariant.
 
 from fractions import Fraction
 
-from .cartan import RootSystem, WeightVec
+from .cartan import RootSystem, WeightVec, cached
 from .weyl import WeylElt
 
 
@@ -221,6 +221,13 @@ def weight_diff(rs: RootSystem, mu: WeightVec, w: WeylElt) -> Scalar:
     wmu = w.act_weight(mu)
     d = tuple(a - b for a, b in zip(mu, wmu))
     return root_scalar(rs, rs.root_lattice_check(d))
+
+
+@cached("omega-diff")
+def omega_diff(rs: RootSystem, i: int, w: WeylElt) -> Scalar:
+    """omega_i - w.omega_i: the diagonal of the Chevalley operator at w and of
+    the commutator [omega_i, A_x] at x = w t_lam (translations act trivially)."""
+    return weight_diff(rs, rs.fundamental_weight(i), w)
 
 
 def q_str(qexp) -> str:

@@ -3,11 +3,15 @@
 Elements are dicts ``AffineElt -> Scalar`` with coefficients written on the
 left of the basis.  The W_af-action on weights is the level-zero one
 (translations act trivially, the affine node acts by the highest-root
-reflection).
+reflection).  Centrality is certified by ``is_central`` in one exact pass
+over the element that needs no weight arithmetic; ``commutator_with_weight``
+is the general-weight commutator it agrees with.
 """
 
+from operator import add
+
 from .cartan import RootSystem, WeightVec, cached
-from .coeffring import Scalar, combo_axpy, root_scalar
+from .coeffring import Scalar, combo_axpy, omega_diff, root_scalar
 from .weyl import (
     AffineElt,
     cocovers,
@@ -68,11 +72,30 @@ def commutator_with_weight(rs: RootSystem, a: NilHeckeElt, mu: WeightVec) -> Nil
 
 
 def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
-    """Whether a commutes with all scalars (generators omega_i suffice)."""
-    for i in range(rs.rank):
-        if commutator_with_weight(rs, a, rs.fundamental_weight(i)):
-            return False
-    return True
+    """Whether a commutes with all scalars; the generators omega_i suffice.
+
+    Every commutator [omega_i, a] is built exactly, in one pass over a, in a
+    flat dict (i, y, exponent tuple) -> coefficient.  A term c A_x gives
+    c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the finite
+    part, and -c <beta^vee, omega_i> = -c beta^vee[i] at each cocover y.
+    a is central iff every coefficient of every commutator is 0.
+    """
+    acc: dict = {}
+    for x, cx in a.items():
+        pairs = _cocover_pairs(rs, x)
+        terms = cx.terms.items()
+        for i in range(rs.rank):
+            for ed, cd in omega_diff(rs, i, x.w).terms.items():
+                for e, c in terms:
+                    key = (i, x, tuple(map(add, e, ed)))
+                    acc[key] = acc.get(key, 0) + c * cd
+            for y, bvee in pairs:
+                k = bvee[i]
+                if k:
+                    for e, c in terms:
+                        key = (i, y, e)
+                        acc[key] = acc.get(key, 0) - c * k
+    return not any(acc.values())
 
 
 def _push_variable(rs: RootSystem, a: NilHeckeElt, i: int) -> NilHeckeElt:
@@ -122,11 +145,12 @@ def mod_J(a: NilHeckeElt) -> NilHeckeElt:
 def act_on_homology(rs: RootSystem, a: NilHeckeElt, xi: dict) -> dict:
     """A_y . xi_z = xi_{yz} when length-additive and yz Grassmannian, else 0."""
     out: dict = {}
+    zs = [(z, cz, length(z)) for z, cz in xi.items()]
     for y, cy in a.items():
         ly = length(y)
-        for z, cz in xi.items():
+        for z, cz, lz in zs:
             yz = y * z
-            if ly + length(z) == length(yz) and is_grassmannian(yz):
+            if is_grassmannian(yz) and ly + lz == length(yz):
                 combo_axpy(out, yz, cy * cz)
     return out
 

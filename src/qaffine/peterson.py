@@ -207,9 +207,11 @@ class HomologyClass:
     def __post_init__(self):
         if self.denom is None:
             self.denom = self.rs.zero_coroot()
-        assert self.rs.is_antidominant(self.denom)
+        if not self.rs.is_antidominant(self.denom):
+            raise ValueError(f"denominator {self.denom} is not antidominant")
         for x in self.terms:
-            assert is_grassmannian(x), f"{x!r} is not Grassmannian"
+            if not is_grassmannian(x):
+                raise ValueError(f"{x!r} is not Grassmannian")
 
     def rebase(self, new_denom: CorootVec) -> "HomologyClass":
         shift = tuple(a - b for a, b in zip(new_denom, self.denom))

@@ -11,7 +11,7 @@ Chevalley operators.
 from dataclasses import dataclass
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached, solve_rational
-from .coeffring import Scalar, combo_add, combo_axpy, combo_scale, scalar_one, weight_diff
+from .coeffring import Scalar, combo_add, combo_axpy, combo_scale, omega_diff, scalar_one
 from .weyl import WeylElt, cover_table, enumerate_weyl, longest_of, weyl_identity
 
 QHClass = dict  # (WeylElt, qexp tuple) -> Scalar
@@ -21,17 +21,11 @@ def qh_basis(rs: RootSystem, w: WeylElt, qexp: CorootVec | None = None) -> QHCla
     return {(w, qexp if qexp is not None else rs.zero_coroot()): scalar_one(rs)}
 
 
-@cached("omega-diff")
-def _omega_diff(rs: RootSystem, i: int, w: WeylElt) -> Scalar:
-    """omega_i - w.omega_i, the diagonal part of the Chevalley operator at w."""
-    return weight_diff(rs, rs.fundamental_weight(i), w)
-
-
 def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
     """Multiplication by the divisor class sigma^{r_i} (0-based node i)."""
     out: QHClass = {}
     for (w, q), c in sigma.items():
-        d = _omega_diff(rs, i, w)
+        d = omega_diff(rs, i, w)
         if d:
             combo_axpy(out, (w, q), c * d)
         ups, quantums, _, _ = cover_table(rs, w)
@@ -118,7 +112,7 @@ class _PolyTable:
                         x = int(x)
                     # x * omega_i * S_u, minus the equivariant and quantum corrections
                     terms = combo_add(terms, combo_scale(_poly_mul_var(rs, polys[u], i), x))
-                    d = _omega_diff(rs, i, u)
+                    d = omega_diff(rs, i, u)
                     if d:
                         terms = combo_add(terms, combo_scale(polys[u], d * (-x)))
                     for a, avee, ur in cover_table(rs, u)[1]:
@@ -229,7 +223,7 @@ def parabolic_chevalley(pd, i: int, sigma: QHClass) -> QHClass:
     out: QHClass = {}
     rp_plus = set(pd.rp_positive)
     for (w, q), c in sigma.items():
-        d = _omega_diff(rs, i, w)
+        d = omega_diff(rs, i, w)
         if d:
             combo_axpy(out, (w, q), c * d)
         ups, quantums, _, _ = cover_table(rs, w)

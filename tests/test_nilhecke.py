@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from qaffine import cartan
-from qaffine.coeffring import Scalar, combo_add, combo_scale, scalar_one
+from qaffine import cartan, nilhecke, peterson
+from qaffine.coeffring import Scalar, combo_add, combo_axpy, combo_scale, scalar_one
 from qaffine.nilhecke import (
     act_on_homology,
     basis_product,
@@ -13,14 +13,17 @@ from qaffine.nilhecke import (
     product,
     scalar_on_right,
 )
+from qaffine.quantum import schubert_poly
 from qaffine.weyl import (
     AffineElt,
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
     enumerate_weyl,
+    is_grassmannian,
     length,
     reduced_word,
+    superregular_antidominant,
     translation,
 )
 
@@ -205,3 +208,104 @@ def test_commutator_with_weight_integral():
             c = commutator_with_weight(rs, {x: one(rs)}, rs.fundamental_weight(i))
             for s in c.values():
                 s.to_int_coeffs()
+
+
+def central_reference(rs, a):
+    return all(not commutator_with_weight(rs, a, rs.fundamental_weight(i)) for i in range(rs.rank))
+
+
+def _jclass_input(rs, w):
+    return AffineElt(w, superregular_antidominant(rs, units=peterson.j_units_needed(rs, w)))
+
+
+def _central_samples(rs, max_len):
+    """Central elements: uncertified B^omega_i images of sum_w t_{w lam} first,
+    then b-elements and the j-classes of every w up to max_len."""
+    lam = superregular_antidominant(rs, units=3)
+    f = peterson.sum_translations(rs, lam)
+    yield f
+    for i in range(rs.rank):
+        yield peterson.b_op(rs, rs.fundamental_weight(i), f)
+    for i in range(rs.rank):
+        yield peterson.b_element(rs, lam, [rs.fundamental_weight(i)])
+        b = peterson.b_element(rs, lam, [rs.fundamental_weight(i), rs.fundamental_weight(rs.rank - 1 - i)])
+        yield b
+        yield combo_scale(b, Fraction(1, 3))  # rational coefficients
+    for w in enumerate_weyl(rs):
+        if w.length() <= max_len:
+            yield peterson.j_class(rs, _jclass_input(rs, w))
+
+
+def test_is_central_matches_commutator_reference():
+    rng = random.Random(41)
+    seen = set()
+    for lbl, max_len in [("A2", 3), ("B2", 4), ("G2", 3), ("A3", 2)]:
+        rs = cartan.build(lbl)
+        for a in _central_samples(rs, max_len):
+            x = rng.choice(sorted(a, key=repr))
+            bumped = dict(a)
+            combo_axpy(bumped, x, Scalar.var(rng.randrange(rs.rank), rs.rank) * rng.choice((1, -1)))
+            dropped = {k: v for k, v in a.items() if k != x}
+            for elt in (a, bumped, dropped):
+                got = is_central(rs, elt)
+                assert got == central_reference(rs, elt), (lbl, len(elt), got)
+                seen.add(got)
+    assert seen == {True, False}
+
+
+def test_one_j_class_makes_one_check_per_b_element_plus_one(monkeypatch):
+    calls = 0
+
+    def counting(rs, a):
+        nonlocal calls
+        calls += 1
+        return is_central(rs, a)
+
+    monkeypatch.setattr(nilhecke, "is_central", counting)
+    monkeypatch.setattr(peterson, "is_central", counting)
+    for lbl, max_len in [("B2", 4), ("G2", 3)]:
+        rs = cartan.build(lbl)
+        for w in enumerate_weyl(rs):
+            if w.length() <= max_len:
+                calls = 0
+                peterson.j_class(rs, _jclass_input(rs, w))
+                assert calls == 1 + len(schubert_poly(rs, w).terms), (lbl, w)
+
+
+def naive_act_on_homology(rs, a, xi):
+    """A_y . xi_z summed pair by pair, every length recomputed."""
+    out = {}
+    for y, cy in a.items():
+        for z, cz in xi.items():
+            yz = y * z
+            if length(y) + length(z) == length(yz) and is_grassmannian(yz):
+                combo_axpy(out, yz, cy * cz)
+    return out
+
+
+def test_act_on_homology_matches_naive_reference():
+    rng = random.Random(43)
+    for lbl in ["A2", "B2"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        boxes = [(p, q) for p in range(-3, 2) for q in range(-3, 2)]
+        by_len = {}
+        for x in (AffineElt(w, t) for w in W for t in boxes):
+            if is_grassmannian(x):
+                by_len.setdefault(length(x), []).append(x)
+        grass_only = additive_only = 0
+        for _ in range(40):
+            zs = [rng.choice(by_len[l]) for l in rng.sample(sorted(by_len), 4)]
+            xi = {z: Scalar({(rng.randint(0, 1), rng.randint(0, 1)): rng.choice((1, -2, 3))}) for z in zs}
+            a = {}
+            for _ in range(rng.randint(2, 6)):
+                y = AffineElt(rng.choice(W), rng.choice(boxes))
+                combo_axpy(a, y, Scalar({(rng.randint(0, 1), 0): rng.choice((1, -1, 2))}))
+            assert act_on_homology(rs, a, xi) == naive_act_on_homology(rs, a, xi)
+            for y in a:
+                for z in xi:
+                    additive = length(y) + length(z) == length(y * z)
+                    grassmannian = is_grassmannian(y * z)
+                    grass_only += grassmannian and not additive
+                    additive_only += additive and not grassmannian
+        assert grass_only and additive_only

@@ -561,3 +561,27 @@ def test_centrality_certificate_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": str(src)}).stdout
     assert out.strip() == "1 b element failed centrality"
+
+
+def test_homology_class_validation_survives_python_O():
+    # input validation raises ValueError, so python -O cannot strip it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        "import sys",
+        "from qaffine import cartan",
+        "from qaffine.peterson import HomologyClass",
+        "from qaffine.weyl import AffineElt, simple_reflection",
+        "rs = cartan.build('A2')",
+        "for terms, denom in [({AffineElt(simple_reflection(rs, 0), (0, 0)): 1}, None), ({}, (1, 0))]:",
+        "    try:",
+        "        HomologyClass(rs, terms, denom)",
+        "    except ValueError as e:",
+        "        print(sys.flags.optimize, e)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}).stdout
+    assert out.splitlines() == ["1 s1 t[0, 0] is not Grassmannian", "1 denominator (1, 0) is not antidominant"]
