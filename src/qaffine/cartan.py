@@ -162,7 +162,8 @@ def _adjugate(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     a = [list(row) for row in m]
     prev = 1
     for k in range(n - 1):
-        assert a[k][k] > 0, "leading principal minor of a Cartan matrix must be positive"
+        if a[k][k] <= 0:
+            raise AssertionError("leading principal minor of a Cartan matrix must be positive")
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
@@ -315,7 +316,8 @@ def build(label: str) -> RootSystem:
     # the highest root: the unique positive root of maximal height whose
     # coordinates dominate every other root
     theta = positive[-1]
-    assert all(all(x >= y for x, y in zip(theta, a)) for a in positive), "highest root not dominant"
+    if not all(all(x >= y for x, y in zip(theta, a)) for a in positive):
+        raise AssertionError("highest root not dominant")
     theta_vee = coroot_table[theta]
 
     two_rho = tuple(sum(col) for col in zip(*positive))
@@ -360,19 +362,23 @@ def build(label: str) -> RootSystem:
 def _check_tables(rs: RootSystem) -> None:
     r = rs.rank
     for i in range(r):
-        assert rs.cartan[i][i] == 2
+        if rs.cartan[i][i] != 2:
+            raise AssertionError("diagonal Cartan entry must be 2")
         for j in range(r):
             if i != j and rs.cartan[i][j] > 0:
                 raise AssertionError("off-diagonal Cartan entry must be <= 0")
     # delta = alpha_0 + theta with mark a_0 = 1
-    assert rs.marks[0] == 1 and tuple(rs.marks[1:]) == rs.theta
+    if rs.marks[0] != 1 or tuple(rs.marks[1:]) != rs.theta:
+        raise AssertionError("marks must be (1, theta)")
     # the adjugate inverts the Cartan matrix up to its determinant
     for i in range(r):
         for j in range(r):
-            assert sum(rs.cartan[i][k] * rs.cartan_adj[k][j] for k in range(r)) == rs.cartan_det * int(i == j)
+            if sum(rs.cartan[i][k] * rs.cartan_adj[k][j] for k in range(r)) != rs.cartan_det * int(i == j):
+                raise AssertionError("adjugate does not invert the Cartan matrix")
     # every root has a coroot and <alpha^vee, alpha> = 2
     for a, av in rs.coroot_table.items():
-        assert rs.pair(av, a) == 2
+        if rs.pair(av, a) != 2:
+            raise AssertionError(f"<alpha^vee, alpha> != 2 at {a}")
 
 
 def to_json_dict(rs: RootSystem) -> dict:

@@ -6,19 +6,77 @@ eliminations run over Q, and the quantum Schubert polynomials of B3, C3 and
 G2 keep non-integral coefficients (``with_int_coeffs`` stores the integral
 ones as ints).  Structure constants and j-classes are integral
 (``to_int_coeffs`` checks this).
+
+Monomials are packed exponent vectors (Monagan and Pearce, CASC 2007): the
+exponent of a_{i+1} sits in the ``FIELD``-bit field at bit ``FIELD * i`` of
+one int, whose top bit is a guard bit.  Exponents are at most ``MAX_EXP``,
+there are at most ``MAX_RANK`` variables, and a monomial product is one
+integer addition.  Two guard-free fields add without a carry into the next
+field, so a product overflowed iff a guard bit of the sum is set; every
+product is certified by that test, with an explicit raise that python -O
+keeps.  The packed dicts ``{monomial: coefficient}`` are also the raw form of
+coefficients in the inner loops of the quantum route (``packed_addmul``,
+``packed_axpy``, ``settle``).
+
 ``q_lambda`` monomials are bare coroot-coordinate tuples.  Group-algebra /
 module elements over S are plain dicts ``key -> Scalar`` with no zero values
 stored; the ``combo_*`` helpers keep that invariant.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
+from types import MappingProxyType
 
 from .cartan import RootSystem, WeightVec, cached
 from .weyl import WeylElt
 
+FIELD = 16
+MAX_EXP = (1 << (FIELD - 1)) - 1
+MAX_RANK = 8
+_MASK = (1 << FIELD) - 1
+_GUARD = sum(1 << (FIELD * i + FIELD - 1) for i in range(MAX_RANK))
+
+
+def _pack(e) -> int:
+    """The packed monomial of an exponent tuple."""
+    if len(e) > MAX_RANK:
+        raise ValueError(f"at most {MAX_RANK} variables, got {len(e)}")
+    m = 0
+    for i, x in enumerate(e):
+        if not 0 <= x <= MAX_EXP:
+            raise ValueError(f"exponent {x} outside 0..{MAX_EXP}")
+        m |= x << (FIELD * i)
+    return m
+
+
+def _unpack(m: int, rank: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed monomial in ``rank`` variables."""
+    return tuple((m >> (FIELD * i)) & _MASK for i in range(rank))
+
+
+def _total_degree(m: int) -> int:
+    d = 0
+    while m:
+        d += m & _MASK
+        m >>= FIELD
+    return d
+
+
+def _certify_fields(monomials) -> None:
+    if reduce(or_, monomials, 0) & _GUARD:
+        raise OverflowError(f"an exponent exceeds {MAX_EXP}, the limit of a {FIELD}-bit field")
+
 
 class Scalar:
-    """Sparse multivariate polynomial: dict exponent-tuple -> coefficient.
+    """Sparse polynomial in a1..ar as a dict packed monomial -> coefficient.
+
+    The monomial a^e packs to sum e_i << 16 i: one 16-bit field per
+    variable whose top bit is a guard, so 0 <= e_i <= MAX_EXP = 32767 and
+    r <= 8.  A product adds packed ints and raises OverflowError if a guard
+    bit of any sum is set.  The rank is kept beside the dict (0 for a zero
+    built without one) and only read to unpack: ``terms`` is a read-only
+    view keyed by exponent tuples, and the constructor takes such a dict.
 
     >>> a1, a2 = Scalar.var(0, 2), Scalar.var(1, 2)
     >>> print((a1 + a2) * a1)
@@ -27,70 +85,77 @@ class Scalar:
     a1 + a2
     >>> (a1 * a2).degree(), (a1 * a2).eval_zero()
     (2, 0)
+    >>> dict((a1 * a2 - Scalar.const(3, 2)).terms)
+    {(1, 1): 1, (0, 0): -3}
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t", "_r")
 
     def __init__(self, terms=None):
-        if terms:
-            self.terms = {e: c for e, c in terms.items() if c}
-        else:
-            self.terms = {}
+        t = {}
+        r = 0
+        for e, c in (terms or {}).items():
+            if r and len(e) != r:
+                raise ValueError("exponent tuples of different lengths")
+            r = len(e)
+            if c:
+                t[_pack(e)] = c
+        self._t = t
+        self._r = r
+
+    @classmethod
+    def _make(cls, t: dict, rank: int) -> "Scalar":
+        """A Scalar on a packed dict with no zero coefficients (not copied)."""
+        s = object.__new__(cls)
+        s._t = t
+        s._r = rank
+        return s
 
     @classmethod
     def const(cls, c, rank: int) -> "Scalar":
-        s = cls()
-        if c:
-            s.terms[(0,) * rank] = c
-        return s
+        return cls._make({0: c} if c else {}, rank)
 
     @classmethod
     def var(cls, i: int, rank: int) -> "Scalar":
-        s = cls()
-        s.terms[tuple(int(j == i) for j in range(rank))] = 1
-        return s
+        return cls({tuple(int(j == i) for j in range(rank)): 1})
 
     @classmethod
     def linear(cls, coeffs) -> "Scalar":
         """Linear form sum coeffs[i] * a_{i+1}."""
         r = len(coeffs)
-        s = cls()
-        for i, c in enumerate(coeffs):
-            if c:
-                s.terms[tuple(int(j == i) for j in range(r))] = c
-        return s
+        return cls({tuple(int(j == i) for j in range(r)): c for i, c in enumerate(coeffs)})
+
+    @property
+    def terms(self):
+        """Read-only view: exponent tuple -> coefficient."""
+        r = self._r
+        return MappingProxyType({_unpack(e, r): c for e, c in self._t.items()})
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return self._t == other._t
         if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return len(self.terms) == 1 and next(iter(self.terms.values())) == other and not any(
-                next(iter(self.terms))
-            )
-        return isinstance(other, Scalar) and self.terms == other.terms
+            return self._t == ({0: other} if other else {})
+        return False
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._t.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._t)
+        for e, c in other._t.items():
             n = out.get(e, 0) + c
             if n:
                 out[e] = n
             else:
-                out.pop(e, None)
-        s = Scalar()
-        s.terms = out
-        return s
+                del out[e]
+        return Scalar._make(out, self._r or other._r)
 
     def __neg__(self):
-        s = Scalar()
-        s.terms = {e: -c for e, c in self.terms.items()}
-        return s
+        return Scalar._make({e: -c for e, c in self._t.items()}, self._r)
 
     def __sub__(self, other):
         return self + (-other)
@@ -98,52 +163,39 @@ class Scalar:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Scalar()
-            s = Scalar()
-            s.terms = {e: c * other for e, c in self.terms.items()}
-            return s
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                n = out.get(e, 0) + c1 * c2
-                if n:
-                    out[e] = n
-                else:
-                    out.pop(e, None)
-        s = Scalar()
-        s.terms = out
-        return s
+                return Scalar._make({}, self._r)
+            return Scalar._make({e: c * other for e, c in self._t.items()}, self._r)
+        acc: dict = {}
+        _addmul_into(acc, self._t, other._t)
+        _certify_fields(acc)
+        return Scalar._make({e: c for e, c in acc.items() if c}, self._r or other._r)
 
     __rmul__ = __mul__
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(_total_degree, self._t), default=-1)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(e) == d for e in self.terms)
+        return all(_total_degree(e) == d for e in self._t)
 
     def eval_zero(self):
         """The evaluation at a_i = 0 (the constant term)."""
-        for e, c in self.terms.items():
-            if not any(e):
-                return c
-        return 0
+        return self._t.get(0, 0)
 
     def is_nonneg_integral(self) -> bool:
         return all(isinstance(c, int) and c >= 0 or (isinstance(c, Fraction) and c.denominator == 1 and c >= 0)
-                   for c in self.terms.values())
+                   for c in self._t.values())
 
     def with_int_coeffs(self) -> "Scalar":
         """The same polynomial with every integral coefficient stored as an int."""
-        s = Scalar()
-        s.terms = {e: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-                   for e, c in self.terms.items()}
-        return s
+        if all(type(c) is int for c in self._t.values()):
+            return self
+        return Scalar._make({e: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+                             for e, c in self._t.items()}, self._r)
 
     def to_int_coeffs(self) -> "Scalar":
         s = self.with_int_coeffs()
-        for c in s.terms.values():
+        for c in s._t.values():
             if isinstance(c, Fraction):
                 raise ValueError(f"non-integral coefficient {c}")
         return s
@@ -152,31 +204,33 @@ class Scalar:
         """Quotient self / lin for a nonzero linear form lin; exact or raises."""
         if not lin or lin.degree() != 1 or not lin.is_homogeneous(1):
             raise ValueError("divisor must be a nonzero homogeneous linear form")
-        rank = len(next(iter(lin.terms)))
-        piv = next(i for i in range(rank) if any(e[i] for e in lin.terms))
-        pivc = lin.terms[tuple(int(j == piv) for j in range(rank))]
-        rem = {e: Fraction(c) for e, c in self.terms.items()}
+        unit = min(lin._t)  # the lowest variable of lin, the pivot
+        shift = unit.bit_length() - 1
+        pivc = lin._t[unit]
+        rem = {e: Fraction(c) for e, c in self._t.items()}
         quo: dict = {}
-        # divide leading (in a lex order putting the pivot variable first)
+        # divide leading terms in a monomial order that ranks the pivot first
         while rem:
-            e = max(rem, key=lambda t: (t[piv], t))
+            e = max(rem, key=lambda m: (m >> shift & _MASK, m))
             c = rem[e]
-            if e[piv] == 0:
+            if not e >> shift & _MASK:
                 raise ValueError("nonzero remainder in exact division")
-            qe = tuple(x - int(i == piv) for i, x in enumerate(e))
+            qe = e - unit
             qc = c / pivc
             quo[qe] = quo.get(qe, 0) + qc
-            for le, lc in lin.terms.items():
-                te = tuple(a + b for a, b in zip(qe, le))
+            for le, lc in lin._t.items():
+                te = qe + le
+                _certify_fields((te,))
                 n = rem.get(te, 0) - qc * lc
                 if n:
                     rem[te] = n
                 else:
                     rem.pop(te, None)
-        return Scalar(quo).with_int_coeffs()
+        return Scalar._make({e: c for e, c in quo.items() if c}, self._r or lin._r).with_int_coeffs()
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         def mono(e, c):
             parts = []
@@ -193,10 +247,10 @@ class Scalar:
             if c == -1:
                 return f"-{body}"
             return f"{c}*{body}"
-        keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-        out = mono(keys[0], self.terms[keys[0]])
+        keys = sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+        out = mono(keys[0], terms[keys[0]])
         for e in keys[1:]:
-            c = self.terms[e]
+            c = terms[e]
             t = mono(e, abs(c) if isinstance(c, (int, Fraction)) and c < 0 else c)
             if isinstance(c, (int, Fraction)) and c < 0:
                 out += f" - {t}"
@@ -238,6 +292,53 @@ def q_str(qexp) -> str:
         elif p:
             parts.append(f"q{i + 1}^{p}")
     return "*".join(parts)
+
+
+# -- raw classes: key -> packed dict -----------------------------------------
+# Accumulators may hold zero coefficients; ``settle`` drops them once and
+# certifies the bit fields.  Input dicts are only read, never aliased.
+
+def _addmul_into(acc: dict, t: dict, d: dict) -> None:
+    get = acc.get
+    for ed, cd in d.items():
+        for e, c in t.items():
+            m = e + ed
+            acc[m] = get(m, 0) + c * cd
+
+
+def packed_addmul(out: dict, key, t: dict, d: dict) -> None:
+    """out[key] += t * d, on packed dicts."""
+    acc = out.get(key)
+    if acc is None:
+        if len(d) == 1:
+            ((ed, cd),) = d.items()
+            out[key] = {e + ed: c * cd for e, c in t.items()}
+            return
+        acc = out[key] = {}
+    _addmul_into(acc, t, d)
+
+
+def packed_axpy(out: dict, key, t: dict, k) -> None:
+    """out[key] += k * t for a number k, on packed dicts."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = {e: c * k for e, c in t.items()}
+        return
+    get = acc.get
+    for e, c in t.items():
+        acc[e] = get(e, 0) + c * k
+
+
+def settle(raw: dict) -> dict:
+    """The raw class without zero coefficients or empty entries, its bit
+    fields certified."""
+    out = {}
+    for key, acc in raw.items():
+        _certify_fields(acc)
+        t = {e: c for e, c in acc.items() if c}
+        if t:
+            out[key] = t
+    return out
 
 
 # -- sparse linear combinations over S --------------------------------------

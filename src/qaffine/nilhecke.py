@@ -8,8 +8,6 @@ over the element that needs no weight arithmetic; ``commutator_with_weight``
 is the general-weight commutator it agrees with.
 """
 
-from operator import add
-
 from .cartan import RootSystem, WeightVec, cached
 from .coeffring import Scalar, combo_axpy, omega_diff, root_scalar
 from .weyl import (
@@ -75,26 +73,29 @@ def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
     """Whether a commutes with all scalars; the generators omega_i suffice.
 
     Every commutator [omega_i, a] is built exactly, in one pass over a, in a
-    flat dict (i, y, exponent tuple) -> coefficient.  A term c A_x gives
-    c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the finite
-    part, and -c <beta^vee, omega_i> = -c beta^vee[i] at each cocover y.
-    a is central iff every coefficient of every commutator is 0.
+    flat dict (i, w.perm, t, packed monomial) -> coefficient, keyed by the
+    parts of y = w t_lam so that equal elements meet as equal tuples.  A term
+    c A_x gives c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the
+    finite part, and -c <beta^vee, omega_i> = -c beta^vee[i] at each cocover
+    y.  a is central iff every coefficient of every commutator is 0.
     """
     acc: dict = {}
+    get = acc.get
     for x, cx in a.items():
-        pairs = _cocover_pairs(rs, x)
-        terms = cx.terms.items()
+        pairs = [(y.w.perm, y.t, bvee) for y, bvee in _cocover_pairs(rs, x)]
+        terms = cx._t.items()
+        xp, xt = x.w.perm, x.t
         for i in range(rs.rank):
-            for ed, cd in omega_diff(rs, i, x.w).terms.items():
+            for ed, cd in omega_diff(rs, i, x.w)._t.items():
                 for e, c in terms:
-                    key = (i, x, tuple(map(add, e, ed)))
-                    acc[key] = acc.get(key, 0) + c * cd
-            for y, bvee in pairs:
+                    key = (i, xp, xt, e + ed)
+                    acc[key] = get(key, 0) + c * cd
+            for yp, yt, bvee in pairs:
                 k = bvee[i]
                 if k:
                     for e, c in terms:
-                        key = (i, y, e)
-                        acc[key] = acc.get(key, 0) - c * k
+                        key = (i, yp, yt, e)
+                        acc[key] = get(key, 0) - c * k
     return not any(acc.values())
 
 

@@ -121,7 +121,8 @@ def path_endpoint(path: list[QBEdge], lam, start: WeylElt | None = None) -> Affi
         lx = length(x)
         # x = w t_{start lam'} with w start = at: its near covers are the out-edges at `at`
         y = next(y for a, _avee, y, _case in near_covers(x)[2] if a == e.alpha)
-        assert length(y) == lx - 1, "path step is not a cover"
+        if length(y) != lx - 1:
+            raise AssertionError("path step is not a cover")
         x = y
         at = e.target
     return x

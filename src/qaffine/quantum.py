@@ -5,13 +5,26 @@ tuple of a q-monomial (coroot coordinates; componentwise >= 0 in the honest
 ring, arbitrary after localization).  Multiplication is generated by the
 divisor classes: a quantum Schubert polynomial is extracted for each w once
 and certified by re-evaluation, after which any product is a composition of
-Chevalley operators.
+Chevalley operators.  Those compositions run on raw classes, dicts
+``(WeylElt, qexp) -> {packed monomial: coefficient}`` (see ``coeffring``),
+through the one kernel ``chevalley_raw``.
 """
 
 from dataclasses import dataclass
+from operator import add
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached, solve_rational
-from .coeffring import Scalar, combo_add, combo_axpy, combo_scale, omega_diff, scalar_one
+from .coeffring import (
+    Scalar,
+    combo_add,
+    combo_axpy,
+    combo_scale,
+    omega_diff,
+    packed_addmul,
+    packed_axpy,
+    scalar_one,
+    settle,
+)
 from .weyl import WeylElt, cover_table, enumerate_weyl, longest_of, weyl_identity
 
 QHClass = dict  # (WeylElt, qexp tuple) -> Scalar
@@ -21,24 +34,41 @@ def qh_basis(rs: RootSystem, w: WeylElt, qexp: CorootVec | None = None) -> QHCla
     return {(w, qexp if qexp is not None else rs.zero_coroot()): scalar_one(rs)}
 
 
-def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
-    """Multiplication by the divisor class sigma^{r_i} (0-based node i)."""
-    out: QHClass = {}
-    for (w, q), c in sigma.items():
-        d = omega_diff(rs, i, w)
+def _raw(sigma: QHClass) -> dict:
+    return {k: c._t for k, c in sigma.items()}
+
+
+def _wrap(rs: RootSystem, raw: dict) -> QHClass:
+    return {k: Scalar._make(t, rs.rank) for k, t in raw.items()}
+
+
+def chevalley_raw(rs: RootSystem, i: int, raw: dict) -> dict:
+    """The Chevalley kernel: multiplication by sigma^{r_i} on a raw class.
+
+    The image of c sigma^w is c (omega_i - w.omega_i) sigma^w, plus
+    c <alpha^vee, omega_i> at every up and quantum out-edge of w in the
+    quantum Bruhat graph, the quantum ones shifted by q^{alpha^vee}.
+    """
+    out: dict = {}
+    for (w, q), t in raw.items():
+        d = omega_diff(rs, i, w)._t
         if d:
-            combo_axpy(out, (w, q), c * d)
+            packed_addmul(out, (w, q), t, d)
         ups, quantums, _, _ = cover_table(rs, w)
         for a, avee, wr in ups:
             k = avee[i]
             if k:
-                combo_axpy(out, (wr, q), c * k)
+                packed_axpy(out, (wr, q), t, k)
         for a, avee, wr in quantums:
             k = avee[i]
             if k:
-                q2 = tuple(x + y for x, y in zip(q, avee))
-                combo_axpy(out, (wr, q2), c * k)
-    return out
+                packed_axpy(out, (wr, tuple(map(add, q, avee))), t, k)
+    return settle(out)
+
+
+def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
+    """Multiplication by the divisor class sigma^{r_i} (0-based node i)."""
+    return _wrap(rs, chevalley_raw(rs, i, _raw(sigma)))
 
 
 def chevalley_weight(rs: RootSystem, mu: WeightVec, sigma: QHClass) -> QHClass:
@@ -150,18 +180,22 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly, start: QHClass | None = N
     """The polynomial applied to ``start``; the default sigma^id gives the
     round-trip oracle, so the image is the class the polynomial represents.
 
-    The terms' words are walked as a prefix trie: each distinct non-empty
-    prefix costs one Chevalley application, however many terms share it.
+    The terms' words are walked as a prefix trie on raw classes: each
+    distinct non-empty prefix costs one ``chevalley_raw`` application,
+    however many terms share it, and the result is wrapped once.
     """
-    reached = {(): qh_basis(rs, weyl_identity(rs)) if start is None else start}
-    out: QHClass = {}
+    if start is None:
+        start = qh_basis(rs, weyl_identity(rs))
+    reached = {(): _raw(start)}
+    out: dict = {}
     for (q, word), c in poly.terms.items():
         for k in range(1, len(word) + 1):
             if word[:k] not in reached:
-                reached[word[:k]] = chevalley(rs, word[k - 1], reached[word[:k - 1]])
-        for (v, qv), s in reached[word].items():
-            combo_axpy(out, (v, tuple(x + y for x, y in zip(qv, q))), s * c)
-    return out
+                reached[word[:k]] = chevalley_raw(rs, word[k - 1], reached[word[:k - 1]])
+        ct = c._t
+        for (v, qv), t in reached[word].items():
+            packed_addmul(out, (v, tuple(map(add, qv, q))), t, ct)
+    return _wrap(rs, settle(out))
 
 
 @cached("qhprod")

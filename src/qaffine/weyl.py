@@ -102,7 +102,8 @@ class WeylElt:
             else:
                 break
         out.reverse()
-        assert len(out) == self.length()
+        if len(out) != self.length():
+            raise AssertionError("descent word is not reduced")
         return tuple(out)
 
     def __repr__(self):
@@ -181,7 +182,8 @@ def enumerate_weyl(rs: RootSystem) -> list[WeylElt]:
                     nxt.append(y)
         frontier = nxt
     lst = sorted(seen.values(), key=lambda w: (w.length(), _image_matrix(w)))
-    assert len(lst) == rs.weyl_order
+    if len(lst) != rs.weyl_order:
+        raise AssertionError(f"enumerated {len(lst)} elements, expected |W| = {rs.weyl_order}")
     return lst
 
 
@@ -305,7 +307,8 @@ def length_regular(u: WeylElt, w: WeylElt, lam: CorootVec) -> int:
     if not (rs.is_antidominant(lam) and rs.is_regular(lam)):
         raise ValueError("lam must be regular antidominant")
     val = length(translation(rs, lam)) - (u * w).length() + w.length()
-    assert val == length(AffineElt(u, w.act_coroot(lam)))
+    if val != length(AffineElt(u, w.act_coroot(lam))):
+        raise AssertionError("closed length formula disagrees with the length")
     return val
 
 
@@ -320,7 +323,8 @@ def inversions(x: AffineElt) -> list[AffineRoot]:
             top = p if wneg else p - 1
             for n in range(nmin, top + 1):
                 out.append(AffineRoot(alpha, n))
-    assert len(out) == length(x)
+    if len(out) != length(x):
+        raise AssertionError("inversion count disagrees with the length")
     return out
 
 
@@ -378,8 +382,9 @@ def _sreg_base(rs: RootSystem) -> CorootVec:
     col = [sum(row[i] for row in rs.cartan_adj) for i in range(rs.rank)]
     g = gcd(*col, rs.cartan_det)
     base = tuple(-c // g for c in col)
-    assert all(rs.pair(base, rs.simple_root(j)) == rs.pair(base, rs.simple_root(0)) < 0
-               for j in range(rs.rank))
+    if not all(rs.pair(base, rs.simple_root(j)) == rs.pair(base, rs.simple_root(0)) < 0
+               for j in range(rs.rank)):
+        raise AssertionError("superregular base must pair equally and negatively with every simple root")
     return base
 
 

@@ -179,3 +179,38 @@ def test_marks_reconstruct_delta():
         for alpha in rs.positive_roots:
             av = rs.coroot_of(alpha)
             assert rs.pair(av, rs.two_rho) == rs.pair_weight(av, (2,) * rs.rank)
+
+
+def test_table_certificates_survive_python_O():
+    # explicit raises, so python -O cannot strip them: patch in a fault and
+    # the certificate of the Cartan tables, of W and of a reduced word fires
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        "import sys",
+        "from qaffine import cartan, weyl",
+        "def attempt(f):",
+        "    try:",
+        "        f()",
+        "    except AssertionError as e:",
+        "        print(sys.flags.optimize, e)",
+        "real_adj = cartan._adjugate",
+        "cartan._adjugate = lambda m: (real_adj(m)[0], real_adj(m)[1] + 1)",
+        "attempt(lambda: cartan.build('A2'))",
+        "cartan._adjugate = real_adj",
+        "cartan._weyl_order = lambda family, rank: 7",
+        "attempt(lambda: weyl.enumerate_weyl(cartan.build('A2')))",
+        "w = weyl.from_word(cartan.build('B2'), [0, 1])",
+        "w._len = 3",
+        "attempt(w.word)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}).stdout
+    assert out.splitlines() == [
+        "1 adjugate does not invert the Cartan matrix",
+        "1 enumerated 6 elements, expected |W| = 7",
+        "1 descent word is not reduced",
+    ]

@@ -234,13 +234,13 @@ def test_product_and_evaluate_match_per_term_reference():
 
 def test_evaluate_poly_one_chevalley_call_per_prefix(monkeypatch):
     calls = []
-    real = quantum.chevalley
+    real = quantum.chevalley_raw
 
     def counting(rs, i, sigma):
         calls.append(i)
         return real(rs, i, sigma)
 
-    monkeypatch.setattr(quantum, "chevalley", counting)
+    monkeypatch.setattr(quantum, "chevalley_raw", counting)
     for lbl in ["A3", "B3", "G2"]:
         rs = cartan.build(lbl)
         for w in [longest_element(rs)] + random.Random(3).sample(enumerate_weyl(rs), 4):
