@@ -75,15 +75,10 @@ def _affine_elt(rs, args):
     return AffineElt(w, t)
 
 
-def _wstr(w):
-    word = w.word()
-    return "id" if not word else " ".join(f"s{i + 1}" for i in word)
-
-
 def _qh_json(cls):
     out = {}
     for (w, q), c in cls.items():
-        out[f"({_wstr(w)},{q_str(q)})"] = str(c)
+        out[f"({w!r},{q_str(q)})"] = str(c)
     return out
 
 
@@ -282,7 +277,7 @@ def _dispatch(args) -> int:
             prod = product_basis(rs, u, v)
             if not args.equivariant:
                 prod = {k: c for k, c in ((k, v2.eval_zero()) for k, v2 in prod.items()) if c}
-                _emit({f"({_wstr(w)},{q_str(q)})": str(c) for (w, q), c in prod.items()})
+                _emit({f"({w!r},{q_str(q)})": str(c) for (w, q), c in prod.items()})
             else:
                 _emit(_qh_json(prod))
         elif args.sub == "schubert-poly":
@@ -292,7 +287,7 @@ def _dispatch(args) -> int:
                 {"coefficient": str(c), "q": q_str(qs), "word": [i + 1 for i in word]}
                 for (qs, word), c in sorted(poly.terms.items(), key=repr)
             ]
-            _emit({"w": _wstr(w), "terms": terms})
+            _emit({"w": repr(w), "terms": terms})
         else:
             u = _finite_elt(rs, args.u)
             v = _finite_elt(rs, args.v)
@@ -340,7 +335,7 @@ def _dispatch(args) -> int:
             {
                 "lam_B": ",".join(str(c) for c in lam_b),
                 "I_P'": sorted(i + 1 for i in ipp),
-                "v": _wstr(v) or "id",
+                "v": repr(v),
             }
         )
         return 0
@@ -352,7 +347,7 @@ def _dispatch(args) -> int:
         from .coeffring import scalar_one
 
         img = strange_duality(pd, {(w, (0,)): scalar_one(rs)})
-        _emit({f"({_wstr(t)},q^{q[0]})": str(c) for (t, q), c in img.items()})
+        _emit({f"({t!r},q^{q[0]})": str(c) for (t, q), c in img.items()})
         return 0
 
     if args.cmd == "lm-map":
@@ -361,7 +356,7 @@ def _dispatch(args) -> int:
         parts = _parse_coroot(args.partition) if args.partition else ()
         x = partition_to_affine(rs, parts, args.n)
         img = lm_map(pd, {x: 1})
-        _emit({_wstr(y): c for y, c in img.items()})
+        _emit({repr(y): c for y, c in img.items()})
         return 0
 
     if args.cmd == "verify":

@@ -15,12 +15,15 @@ integer addition.  Two guard-free fields add without a carry into the next
 field, so a product overflowed iff a guard bit of the sum is set; every
 product is certified by that test, with an explicit raise that python -O
 keeps.  The packed dicts ``{monomial: coefficient}`` are also the raw form of
-coefficients in the inner loops of the quantum route (``packed_addmul``,
-``packed_axpy``, ``settle``).
+the hot S-linear combinations: they accumulate with ``packed_addmul`` and
+``packed_axpy`` and finish with ``settle``, which drops zeros and certifies
+the guard bits.  This module is the only place where the layout is read;
+``to_raw``/``from_raw`` are the one bridge between dicts ``key -> Scalar``
+and raw classes, and ``Scalar.packed`` hands out one Scalar's dict.
 
 ``q_lambda`` monomials are bare coroot-coordinate tuples.  Group-algebra /
 module elements over S are plain dicts ``key -> Scalar`` with no zero values
-stored; the ``combo_*`` helpers keep that invariant.
+stored; ``combo_axpy`` keeps that invariant.
 """
 
 from fractions import Fraction
@@ -124,6 +127,11 @@ class Scalar:
         """Linear form sum coeffs[i] * a_{i+1}."""
         r = len(coeffs)
         return cls({tuple(int(j == i) for j in range(r)): c for i, c in enumerate(coeffs)})
+
+    @property
+    def packed(self) -> dict:
+        """The packed dict itself, not a copy: read it, never write it."""
+        return self._t
 
     @property
     def terms(self):
@@ -298,6 +306,16 @@ def q_str(qexp) -> str:
 # Accumulators may hold zero coefficients; ``settle`` drops them once and
 # certifies the bit fields.  Input dicts are only read, never aliased.
 
+def to_raw(combo: dict) -> dict:
+    """The raw class of a dict key -> Scalar (its packed dicts, shared)."""
+    return {k: c._t for k, c in combo.items()}
+
+
+def from_raw(rs: RootSystem, raw: dict) -> dict:
+    """key -> Scalar on a settled raw class, taking its dicts over."""
+    return {k: Scalar._make(t, rs.rank) for k, t in raw.items()}
+
+
 def _addmul_into(acc: dict, t: dict, d: dict) -> None:
     get = acc.get
     for ed, cd in d.items():
@@ -332,9 +350,9 @@ def packed_axpy(out: dict, key, t: dict, k) -> None:
 def settle(raw: dict) -> dict:
     """The raw class without zero coefficients or empty entries, its bit
     fields certified."""
+    _certify_fields(e for acc in raw.values() for e in acc)
     out = {}
     for key, acc in raw.items():
-        _certify_fields(acc)
         t = {e: c for e, c in acc.items() if c}
         if t:
             out[key] = t
@@ -356,21 +374,3 @@ def combo_axpy(dst: dict, key, s: Scalar) -> None:
             dst[key] = n
         else:
             del dst[key]
-
-
-def combo_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, s in b.items():
-        combo_axpy(out, k, s)
-    return out
-
-
-def combo_scale(a: dict, s) -> dict:
-    if isinstance(s, (int, Fraction)):
-        if not s:
-            return {}
-        return {k: v * s for k, v in a.items()}
-    out = {}
-    for k, v in a.items():
-        combo_axpy(out, k, v * s)
-    return out

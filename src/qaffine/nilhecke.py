@@ -9,7 +9,7 @@ is the general-weight commutator it agrees with.
 """
 
 from .cartan import RootSystem, WeightVec, cached
-from .coeffring import Scalar, combo_axpy, omega_diff, root_scalar
+from .coeffring import Scalar, combo_axpy, omega_diff, packed_addmul, packed_axpy, root_scalar, settle
 from .weyl import (
     AffineElt,
     cocovers,
@@ -72,43 +72,35 @@ def commutator_with_weight(rs: RootSystem, a: NilHeckeElt, mu: WeightVec) -> Nil
 def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
     """Whether a commutes with all scalars; the generators omega_i suffice.
 
-    Every commutator [omega_i, a] is built exactly, in one pass over a, in a
-    flat dict (i, w.perm, t, packed monomial) -> coefficient, keyed by the
-    parts of y = w t_lam so that equal elements meet as equal tuples.  A term
-    c A_x gives c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the
-    finite part, and -c <beta^vee, omega_i> = -c beta^vee[i] at each cocover
-    y.  a is central iff every coefficient of every commutator is 0.
+    Every commutator [omega_i, a] is accumulated exactly, in one pass over a,
+    in one raw class keyed by (i, w.perm, t), the parts of y = w t_lam, so
+    that equal elements meet as equal tuples.  A term c A_x gives
+    c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the finite
+    part, and -c <beta^vee, omega_i> = -c beta^vee[i] at each cocover y.  a
+    is central iff every commutator settles to 0.
     """
     acc: dict = {}
-    get = acc.get
     for x, cx in a.items():
         pairs = [(y.w.perm, y.t, bvee) for y, bvee in _cocover_pairs(rs, x)]
-        terms = cx._t.items()
+        t = cx.packed
         xp, xt = x.w.perm, x.t
         for i in range(rs.rank):
-            for ed, cd in omega_diff(rs, i, x.w)._t.items():
-                for e, c in terms:
-                    key = (i, xp, xt, e + ed)
-                    acc[key] = get(key, 0) + c * cd
+            d = omega_diff(rs, i, x.w).packed
+            if d:
+                packed_addmul(acc, (i, xp, xt), t, d)
             for yp, yt, bvee in pairs:
-                k = bvee[i]
-                if k:
-                    for e, c in terms:
-                        key = (i, yp, yt, e)
-                        acc[key] = get(key, 0) - c * k
-    return not any(acc.values())
+                if bvee[i]:
+                    packed_axpy(acc, (i, yp, yt), t, -bvee[i])
+    return not settle(acc)
 
 
 def _push_variable(rs: RootSystem, a: NilHeckeElt, i: int) -> NilHeckeElt:
     """a . alpha_i with the variable moved to the left."""
     out: NilHeckeElt = {}
-    alpha = rs.simple_root(i)
+    alpha = tuple(row[i] for row in rs.cartan)  # alpha_i in the weight basis
     for x, cx in a.items():
-        combo_axpy(out, x, cx * root_scalar(rs, x.w.act_root(alpha)))
-        for y, bvee in _cocover_pairs(rs, x):
-            c = rs.pair(bvee, alpha)
-            if c:
-                combo_axpy(out, y, cx * c)
+        for y, c in commute_scalar(rs, x, alpha).items():
+            combo_axpy(out, y, cx * c)
     return out
 
 

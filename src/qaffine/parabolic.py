@@ -88,7 +88,8 @@ class ParabolicData:
     def component_theta(self, comp: tuple) -> RootVec:
         sub = [a for a in self.rp_positive if all(c == 0 or i in comp for i, c in enumerate(a))]
         th = max(sub, key=lambda a: (sum(a), a))
-        assert all(all(x >= y for x, y in zip(th, a)) for a in sub)
+        if not all(all(x >= y for x, y in zip(th, a)) for a in sub):
+            raise AssertionError("component highest root does not dominate its roots")
         return th
 
     def component_special_nodes(self, comp: tuple) -> tuple:
@@ -138,7 +139,8 @@ class ParabolicData:
             # phi_m = -psi_m - omega_{j_m}
             for k, pos in enumerate(comp):
                 val = -psi_coords[k] - omega[k]
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise AssertionError("phi_P coordinate is not integral")
                 phi[pos] = int(val)
             if jm is not None:
                 v = v * self.v_special(comp, jm)
@@ -191,7 +193,8 @@ def pi_P(pd: ParabolicData, x: AffineElt) -> AffineElt:
     while True:
         beta = _find_rp_inversion(pd, x)
         if beta is None:
-            assert in_WPaff(pd, x)
+            if not in_WPaff(pd, x):
+                raise AssertionError("pi_P left (W^P)_af")
             return x
         x = x * reflection_of_affine(rs, beta)
 
@@ -213,11 +216,13 @@ def pi_P_translation(pd: ParabolicData, lam: CorootVec) -> AffineElt:
     rs = pd.rs
     v, lam_b, _jms = pd.pi_translation_data(lam)
     out = AffineElt(v, lam_b)
-    assert in_WPaff(pd, out)
+    if not in_WPaff(pd, out):
+        raise AssertionError("closed form of pi_P(t_lam) left (W^P)_af")
     if rs.is_antidominant(lam):
         # phi_P of an antidominant lam is a nonnegative sum of coroots of I_P
         phi = tuple(b - l for b, l in zip(lam_b, lam))
-        assert all(c >= 0 for c in phi) and all(c == 0 for i, c in enumerate(phi) if i not in pd.nodes)
+        if any(c < 0 for c in phi) or any(c for i, c in enumerate(phi) if i not in pd.nodes):
+            raise AssertionError("phi_P of an antidominant lam is not a nonnegative sum over I_P")
     return out
 
 
@@ -236,7 +241,8 @@ def _perp_base(pd: ParabolicData) -> CorootVec:
     base = tuple(-c // g for c in coords)
     for j in range(rs.rank):
         p = rs.pair(base, rs.simple_root(j))
-        assert (p == 0) == (j in pd.nodes) and p <= 0
+        if (p == 0) != (j in pd.nodes) or p > 0:
+            raise AssertionError("perpendicular base has the wrong pairing pattern")
     return base
 
 
@@ -279,16 +285,19 @@ def parabolic_basis_element(pd: ParabolicData, v: WeylElt, coset, depth: int = 2
         raise ValueError("basis index must be a minimal coset representative")
     lam = _coset_lift(pd, coset, depth)
     x = AffineElt(v, pd.rs.zero_coroot()) * pi_P_translation(pd, lam)
-    assert is_grassmannian(x) and in_WPaff(pd, x), "lift left the expected stratum"
+    if not (is_grassmannian(x) and in_WPaff(pd, x)):
+        raise AssertionError("lift left the expected stratum")
     return x
 
 
 def factor_parabolic(pd: ParabolicData, z: AffineElt) -> tuple[WeylElt, tuple]:
     """Write Grassmannian z in (W^P)_af as u pi_P(t_lam): returns (u, eta(lam))."""
     v, lam_b, _ = pd.pi_translation_data(z.t)
-    assert lam_b == z.t, "translation of a (W^P)_af element is its own canonical lift"
+    if lam_b != z.t:
+        raise AssertionError("translation of a (W^P)_af element is its own canonical lift")
     u = z.w * v.inverse()
-    assert pd.is_minimal_rep(u), "finite factor is not a minimal representative"
+    if not pd.is_minimal_rep(u):
+        raise AssertionError("finite factor is not a minimal representative")
     return u, pd.eta(z.t)
 
 
@@ -315,7 +324,8 @@ def quotient_product(pd: ParabolicData, v: WeylElt, u: WeylElt, lam_p=None, mu_p
         q = tuple(a - b - d + l + m for a, b, d, l, m in zip(qz, base_x, base_y, lam_p, mu_p))
         combo_axpy(out, (uz, q), c)
     for (w, q) in out:
-        assert all(a >= b + c for a, b, c in zip(q, lam_p, mu_p)), "quotient product exponent dropped below input"
+        if any(a < b + c for a, b, c in zip(q, lam_p, mu_p)):
+            raise AssertionError("quotient product exponent dropped below input")
     return out
 
 
@@ -348,7 +358,8 @@ def tau(rs: RootSystem, i: int) -> tuple:
             out[k] = _simple_index(rs, img) + 1
     img0 = tuple(-c for c in vi.act_root(rs.theta))
     out[0] = _simple_index(rs, img0) + 1
-    assert sorted(out) == list(range(rs.rank + 1)) and out[i] == 0
+    if sorted(out) != list(range(rs.rank + 1)) or out[i] != 0:
+        raise AssertionError("tau is not a node permutation sending i to 0")
     _assert_affine_automorphism(rs, out)
     return tuple(out)
 
@@ -377,9 +388,8 @@ def _affine_cartan(rs: RootSystem):
 def _assert_affine_automorphism(rs: RootSystem, perm) -> None:
     c = _affine_cartan(rs)
     n = rs.rank + 1
-    for a in range(n):
-        for b in range(n):
-            assert c[perm[a]][perm[b]] == c[a][b], "node permutation is not a diagram automorphism"
+    if any(c[perm[a]][perm[b]] != c[a][b] for a in range(n) for b in range(n)):
+        raise AssertionError("node permutation is not a diagram automorphism")
 
 
 @cached("star")
@@ -411,9 +421,11 @@ def theta_cominuscule(pd: ParabolicData, y: WeylElt) -> AffineElt:
     x = affine_identity(rs)
     for i in y.word():
         x = x * affine_simple_reflection(rs, st[t[i + 1]])
-    assert is_grassmannian(x) and in_WPaff(pd, x)
+    if not (is_grassmannian(x) and in_WPaff(pd, x)):
+        raise AssertionError("theta(y) left the Grassmannian (W^P)_af elements")
     # the finite part w of x = w t_lam satisfies pi_P(w) = pi_P(w_P y)
-    assert pd.pi_finite(x.w) == pd.pi_finite(pd.longest_wp() * y)
+    if pd.pi_finite(x.w) != pd.pi_finite(pd.longest_wp() * y):
+        raise AssertionError("finite part of theta(y) is not in the coset of w_P y")
     return x
 
 
@@ -487,8 +499,8 @@ def partition_to_affine(rs: RootSystem, parts, n: int) -> AffineElt:
         for x1 in range(parts[x2 - 1], 0, -1):
             word.append((x1 - x2) % n)
     x = affine_from_word(rs, word)
-    assert length(x) == len(word), "row reading is not reduced"
-    assert is_grassmannian(x)
+    if length(x) != len(word) or not is_grassmannian(x):
+        raise AssertionError("row reading is not a reduced word of a Grassmannian element")
     return x
 
 
@@ -508,11 +520,12 @@ def partition_to_wp(pd: ParabolicData, parts) -> WeylElt:
         height = sum(1 for p in parts if p >= x1)
         for x2 in range(height, 0, -1):
             val = j + x1 - x2
-            assert 1 <= val <= n - 1
+            if not 1 <= val <= n - 1:
+                raise AssertionError("column reading left the finite nodes")
             word.append(val - 1)
     w = from_word(rs, word)
-    assert w.length() == len(word), "column reading is not reduced"
-    assert pd.is_minimal_rep(w)
+    if w.length() != len(word) or not pd.is_minimal_rep(w):
+        raise AssertionError("column reading is not a reduced word of a minimal representative")
     return w
 
 

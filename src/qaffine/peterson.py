@@ -10,7 +10,7 @@ localized quantum ring are computed.
 from dataclasses import dataclass
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
-from .coeffring import Scalar, combo_axpy, combo_scale, root_scalar, scalar_one, weight_diff
+from .coeffring import Scalar, combo_axpy, from_raw, packed_addmul, root_scalar, scalar_one, settle, weight_diff
 from .nilhecke import NilHeckeElt, act_on_homology, is_central, mod_J
 from .quantum import QHClass, schubert_poly
 from .weyl import (
@@ -182,13 +182,13 @@ def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
     lam = x.t
     _require_margin(x, units=j_units_needed(rs, w))
     poly = schubert_poly(rs, w)
-    out: NilHeckeElt = {}
+    acc: dict = {}
     for (qshift, word), a in poly.terms.items():
         shifted = tuple(l + s for l, s in zip(lam, qshift))
         b = b_element(rs, shifted, [rs.fundamental_weight(i) for i in word])
-        for k, c in combo_scale(b, a).items():
-            combo_axpy(out, k, c)
-    out = {k: c.to_int_coeffs() for k, c in out.items()}
+        for k, c in b.items():
+            packed_addmul(acc, k, c.packed, a.packed)
+    out = {k: c.to_int_coeffs() for k, c in from_raw(rs, settle(acc)).items()}
     if mod_J(out) != {x: scalar_one(rs)}:
         raise AssertionError("j class Grassmannian part is not A_x")
     if not is_central(rs, out):

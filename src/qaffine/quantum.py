@@ -5,9 +5,9 @@ tuple of a q-monomial (coroot coordinates; componentwise >= 0 in the honest
 ring, arbitrary after localization).  Multiplication is generated by the
 divisor classes: a quantum Schubert polynomial is extracted for each w once
 and certified by re-evaluation, after which any product is a composition of
-Chevalley operators.  Those compositions run on raw classes, dicts
-``(WeylElt, qexp) -> {packed monomial: coefficient}`` (see ``coeffring``),
-through the one kernel ``chevalley_raw``.
+Chevalley operators.  Those compositions, and the Schubert-polynomial
+layers, accumulate raw classes in place and settle them once (see
+``coeffring``); the compositions run through the one kernel ``chevalley_raw``.
 """
 
 from dataclasses import dataclass
@@ -16,14 +16,14 @@ from operator import add
 from .cartan import CorootVec, RootSystem, WeightVec, cached, solve_rational
 from .coeffring import (
     Scalar,
-    combo_add,
     combo_axpy,
-    combo_scale,
+    from_raw,
     omega_diff,
     packed_addmul,
     packed_axpy,
     scalar_one,
     settle,
+    to_raw,
 )
 from .weyl import WeylElt, cover_table, enumerate_weyl, longest_of, weyl_identity
 
@@ -32,14 +32,6 @@ QHClass = dict  # (WeylElt, qexp tuple) -> Scalar
 
 def qh_basis(rs: RootSystem, w: WeylElt, qexp: CorootVec | None = None) -> QHClass:
     return {(w, qexp if qexp is not None else rs.zero_coroot()): scalar_one(rs)}
-
-
-def _raw(sigma: QHClass) -> dict:
-    return {k: c._t for k, c in sigma.items()}
-
-
-def _wrap(rs: RootSystem, raw: dict) -> QHClass:
-    return {k: Scalar._make(t, rs.rank) for k, t in raw.items()}
 
 
 def chevalley_raw(rs: RootSystem, i: int, raw: dict) -> dict:
@@ -51,7 +43,7 @@ def chevalley_raw(rs: RootSystem, i: int, raw: dict) -> dict:
     """
     out: dict = {}
     for (w, q), t in raw.items():
-        d = omega_diff(rs, i, w)._t
+        d = omega_diff(rs, i, w).packed
         if d:
             packed_addmul(out, (w, q), t, d)
         ups, quantums, _, _ = cover_table(rs, w)
@@ -68,7 +60,7 @@ def chevalley_raw(rs: RootSystem, i: int, raw: dict) -> dict:
 
 def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
     """Multiplication by the divisor class sigma^{r_i} (0-based node i)."""
-    return _wrap(rs, chevalley_raw(rs, i, _raw(sigma)))
+    return from_raw(rs, chevalley_raw(rs, i, to_raw(sigma)))
 
 
 def chevalley_weight(rs: RootSystem, mu: WeightVec, sigma: QHClass) -> QHClass:
@@ -92,21 +84,6 @@ class QSchubertPoly:
 
     w: WeylElt
     terms: dict  # (qshift tuple, word tuple) -> Scalar
-
-
-def _poly_mul_var(rs, terms: dict, i: int) -> dict:
-    out = {}
-    for (q, word), c in terms.items():
-        nw = tuple(sorted(word + (i,)))
-        combo_axpy(out, (q, nw), c)
-    return out
-
-
-def _poly_qshift(rs, terms: dict, shift) -> dict:
-    out = {}
-    for (q, word), c in terms.items():
-        combo_axpy(out, (tuple(x + y for x, y in zip(q, shift)), word), c)
-    return out
 
 
 class _PolyTable:
@@ -134,23 +111,24 @@ class _PolyTable:
                         mat[(ur, (u, i))] = mat.get((ur, (u, i)), 0) + avee[i]
             sols = solve_rational(layer, unknowns, mat, [{target: 1} for target in layer])
             for target, sol in zip(layer, sols):
-                terms: dict = {}
+                acc: dict = {}
                 for x, (u, i) in zip(sol, unknowns):
                     if not x:
                         continue
                     if x.denominator == 1:
                         x = int(x)
                     # x * omega_i * S_u, minus the equivariant and quantum corrections
-                    terms = combo_add(terms, combo_scale(_poly_mul_var(rs, polys[u], i), x))
-                    d = omega_diff(rs, i, u)
+                    for (q, word), c in polys[u].items():
+                        packed_axpy(acc, (q, tuple(sorted(word + (i,)))), c.packed, x)
+                    d = (omega_diff(rs, i, u) * -x).packed
                     if d:
-                        terms = combo_add(terms, combo_scale(polys[u], d * (-x)))
+                        for k, c in polys[u].items():
+                            packed_addmul(acc, k, c.packed, d)
                     for a, avee, ur in cover_table(rs, u)[1]:
-                        k = avee[i]
-                        if k:
-                            corr = _poly_qshift(rs, polys[ur], avee)
-                            terms = combo_add(terms, combo_scale(corr, -x * k))
-                polys[target] = {k: c.with_int_coeffs() for k, c in terms.items()}
+                        if avee[i]:
+                            for (q, word), c in polys[ur].items():
+                                packed_axpy(acc, (tuple(map(add, q, avee)), word), c.packed, -x * avee[i])
+                polys[target] = {k: c.with_int_coeffs() for k, c in from_raw(rs, settle(acc)).items()}
             self.built = l
 
 
@@ -186,16 +164,16 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly, start: QHClass | None = N
     """
     if start is None:
         start = qh_basis(rs, weyl_identity(rs))
-    reached = {(): _raw(start)}
+    reached = {(): to_raw(start)}
     out: dict = {}
     for (q, word), c in poly.terms.items():
         for k in range(1, len(word) + 1):
             if word[:k] not in reached:
                 reached[word[:k]] = chevalley_raw(rs, word[k - 1], reached[word[:k - 1]])
-        ct = c._t
+        ct = c.packed
         for (v, qv), t in reached[word].items():
             packed_addmul(out, (v, tuple(map(add, qv, q))), t, ct)
-    return _wrap(rs, settle(out))
+    return from_raw(rs, settle(out))
 
 
 @cached("qhprod")

@@ -181,13 +181,9 @@ def test_marks_reconstruct_delta():
             assert rs.pair(av, rs.two_rho) == rs.pair_weight(av, (2,) * rs.rank)
 
 
-def test_table_certificates_survive_python_O():
+def test_table_certificates_survive_python_O(run_python):
     # explicit raises, so python -O cannot strip them: patch in a fault and
     # the certificate of the Cartan tables, of W and of a reduced word fires
-    import subprocess
-    import sys
-    from pathlib import Path
-
     code = "\n".join([
         "import sys",
         "from qaffine import cartan, weyl",
@@ -206,9 +202,7 @@ def test_table_certificates_survive_python_O():
         "w._len = 3",
         "attempt(w.word)",
     ])
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": str(src)}).stdout
+    out = run_python("-O", "-c", code).stdout
     assert out.splitlines() == [
         "1 adjugate does not invert the Cartan matrix",
         "1 enumerated 6 elements, expected |W| = 7",

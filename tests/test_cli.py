@@ -133,18 +133,11 @@ def test_malformed_input_exit_2_one_error_line(capsys, argv, needle):
     assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0]
 
 
-@pytest.mark.parametrize("suite", ["chevalley", "operators"])
-def test_verify_reports_the_same_under_python_O(suite):
+@pytest.mark.parametrize("suite", ["chevalley", "operators", "parabolic"])
+def test_verify_reports_the_same_under_python_O(suite, run_python):
     # every certificate is an explicit raise, so python -O checks as much
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    runs = [subprocess.run([sys.executable, *flags, "-m", "qaffine.cli", "verify", suite],
-                           capture_output=True, text=True, env=env)
-            for flags in ([], ["-O"])]
+    runs = [run_python(*flags, "-m", "qaffine.cli", "verify", suite, check=False) for flags in ([], ["-O"])]
     plain, optimized = runs
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
-    assert json.loads(plain.stdout)["checks"] == {"chevalley": 610, "operators": 375}[suite]
+    assert json.loads(plain.stdout)["checks"] == {"chevalley": 610, "operators": 375, "parabolic": 142}[suite]

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from qaffine import cartan, nilhecke, peterson
-from qaffine.coeffring import Scalar, combo_add, combo_axpy, combo_scale, scalar_one
+from qaffine.coeffring import MAX_EXP, Scalar, combo_axpy, scalar_one
 from qaffine.nilhecke import (
     act_on_homology,
     basis_product,
@@ -23,6 +25,7 @@ from qaffine.weyl import (
     is_grassmannian,
     length,
     reduced_word,
+    simple_reflection,
     superregular_antidominant,
     translation,
 )
@@ -148,7 +151,7 @@ def test_product_identity_and_associativity():
         assert product(rs, product(rs, a, b), c) == product(rs, a, product(rs, b, c))
         # S-bilinearity in the left argument
         s = Scalar.var(0, 2)
-        assert product(rs, combo_scale(a, s), b) == combo_scale(product(rs, a, b), s)
+        assert product(rs, {k: v * s for k, v in a.items()}, b) == {k: v * s for k, v in product(rs, a, b).items()}
 
 
 def test_is_central():
@@ -161,6 +164,14 @@ def test_is_central():
     tminus = translation(rs, (-1,))
     assert is_central(rs, {tplus: one(rs), tminus: one(rs)})
     assert not is_central(rs, {tplus: one(rs)})
+
+
+def test_is_central_certifies_the_exponent_fields():
+    # omega_1 - s1.omega_1 = a1, so the commutator at s1 t_lam needs a1^(MAX_EXP + 1)
+    rs = cartan.build("A2")
+    x = AffineElt(simple_reflection(rs, 0), superregular_antidominant(rs, units=1))
+    with pytest.raises(OverflowError):
+        is_central(rs, {x: Scalar({(MAX_EXP, 0): 1})})
 
 
 def test_mod_J():
@@ -230,7 +241,7 @@ def _central_samples(rs, max_len):
         yield peterson.b_element(rs, lam, [rs.fundamental_weight(i)])
         b = peterson.b_element(rs, lam, [rs.fundamental_weight(i), rs.fundamental_weight(rs.rank - 1 - i)])
         yield b
-        yield combo_scale(b, Fraction(1, 3))  # rational coefficients
+        yield {k: v * Fraction(1, 3) for k, v in b.items()}  # rational coefficients
     for w in enumerate_weyl(rs):
         if w.length() <= max_len:
             yield peterson.j_class(rs, _jclass_input(rs, w))

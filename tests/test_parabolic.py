@@ -50,6 +50,22 @@ def gr24():
     return rs, build_parabolic(rs, [0, 2])  # Gr(2,4): I_P = {1,3} 1-based
 
 
+def test_pi_P_certificate_survives_python_O(run_python):
+    # explicit raises, so python -O cannot strip them
+    code = "\n".join([
+        "import sys",
+        "from qaffine import cartan, parabolic",
+        "pd = parabolic.build_parabolic(cartan.build('A3'), [1, 2])",
+        "parabolic.in_WPaff = lambda pd, x: False",
+        "try:",
+        "    parabolic.pi_P_translation(pd, (-1, 0, 0))",
+        "except AssertionError as e:",
+        "    print(sys.flags.optimize, e)",
+    ])
+    out = run_python("-O", "-c", code).stdout
+    assert out.strip() == "1 closed form of pi_P(t_lam) left (W^P)_af"
+
+
 def test_pi_p_paper_examples():
     rs = cartan.build("A3")
     pd = build_parabolic(rs, [1, 2])

@@ -540,12 +540,8 @@ def test_pieri_matches_hom_product():
         assert via_pieri == nonequiv
 
 
-def test_centrality_certificate_survives_python_O():
+def test_centrality_certificate_survives_python_O(run_python):
     # the certificate is an explicit check, so python -O cannot strip it
-    import subprocess
-    import sys
-    from pathlib import Path
-
     code = "\n".join([
         "import sys",
         "from qaffine import cartan, peterson",
@@ -557,18 +553,12 @@ def test_centrality_certificate_survives_python_O():
         "except AssertionError as e:",
         "    print(sys.flags.optimize, e)",
     ])
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": str(src)}).stdout
+    out = run_python("-O", "-c", code).stdout
     assert out.strip() == "1 b element failed centrality"
 
 
-def test_homology_class_validation_survives_python_O():
+def test_homology_class_validation_survives_python_O(run_python):
     # input validation raises ValueError, so python -O cannot strip it
-    import subprocess
-    import sys
-    from pathlib import Path
-
     code = "\n".join([
         "import sys",
         "from qaffine import cartan",
@@ -581,7 +571,5 @@ def test_homology_class_validation_survives_python_O():
         "    except ValueError as e:",
         "        print(sys.flags.optimize, e)",
     ])
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": str(src)}).stdout
+    out = run_python("-O", "-c", code).stdout
     assert out.splitlines() == ["1 s1 t[0, 0] is not Grassmannian", "1 denominator (1, 0) is not antidominant"]

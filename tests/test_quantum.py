@@ -263,12 +263,8 @@ def test_integral_poly_coefficients_stored_as_int():
     assert rational > 0
 
 
-def test_certificates_survive_python_O():
+def test_certificates_survive_python_O(run_python):
     # explicit raises, so python -O cannot strip them
-    import subprocess
-    import sys
-    from pathlib import Path
-
     code = "\n".join([
         "import sys",
         "from qaffine import cartan, quantum",
@@ -282,7 +278,5 @@ def test_certificates_survive_python_O():
         "except AssertionError as e:",
         "    print(sys.flags.optimize, e)",
     ])
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": str(src)}).stdout
+    out = run_python("-O", "-c", code).stdout
     assert out.strip() == "1 component representatives disagree with w_P w_{P'}"

@@ -7,10 +7,7 @@ and compares from that dict alone; it reads nothing from ``Scalar`` but the
 overflow certificate is exercised on the way.
 """
 
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -192,7 +189,7 @@ def test_field_limit_and_guard():
         Scalar({(0,) * (MAX_RANK + 1): 1})
 
 
-def test_overflow_survives_python_O():
+def test_overflow_survives_python_O(run_python):
     # the guard test is an explicit raise, so python -O cannot strip it
     code = "\n".join([
         "import sys",
@@ -202,7 +199,5 @@ def test_overflow_survives_python_O():
         "except OverflowError as e:",
         "    print(sys.flags.optimize, type(e).__name__)",
     ])
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": str(src)}).stdout
+    out = run_python("-O", "-c", code).stdout
     assert out.strip() == "1 OverflowError"
