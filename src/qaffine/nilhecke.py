@@ -13,9 +13,10 @@ from .coeffring import Scalar, combo_axpy, omega_diff, packed_addmul, packed_axp
 from .weyl import (
     AffineElt,
     cocovers,
-    cocovers_superregular,
+    far_covers,
     is_grassmannian,
     length,
+    near_covers,
     superregular_margin,
 )
 
@@ -32,8 +33,12 @@ def basis_product(x: AffineElt, y: AffineElt, one: Scalar) -> NilHeckeElt:
 @cached("nh_cocovers")
 def _cocover_pairs(rs: RootSystem, x: AffineElt):
     """Pairs (target, finite coroot of the positive reflection root)."""
-    recs = cocovers_superregular(x, validate=False) if superregular_margin(x) >= 1 else cocovers(x)
-    return tuple((c.target, rs.coroot_of(c.reflection_root.finite)) for c in recs)
+    if superregular_margin(x) < 1:
+        return tuple((c.target, rs.coroot_of(c.reflection_root.finite)) for c in cocovers(x))
+    # a superregular cocover's positive reflection root has finite part -v alpha,
+    # so its coroot is v(-alpha^vee), read from the coroot table
+    v, _wv, near = near_covers(x)
+    return tuple((y, v.act_coroot(tuple(-c for c in avee))) for _a, avee, y, _case in near + far_covers(x)[1])
 
 
 def commute_scalar(rs: RootSystem, x: AffineElt, mu: WeightVec) -> NilHeckeElt:

@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, cached, solve_rational
+from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _is_positive_vec, cached, solve_rational
 from .coeffring import combo_axpy
 from .peterson import hom_product_basis
 from .weyl import (
     AffineElt,
     WeylElt,
-    _pos,
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
@@ -179,7 +178,7 @@ def in_WPaff(pd: ParabolicData, x: AffineElt) -> bool:
     rs = pd.rs
     for a in pd.rp_positive:
         p = rs.pair(x.t, a)
-        if _pos(x.w.act_root(a)):
+        if _is_positive_vec(x.w.act_root(a)):
             if p != 0:
                 return False
         elif p != -1:
@@ -204,7 +203,7 @@ def _find_rp_inversion(pd: ParabolicData, x: AffineElt):
     for a in pd.rp_positive:
         for alpha, nmin in ((a, 0), (tuple(-c for c in a), 1)):
             p = rs.pair(x.t, alpha)
-            wneg = not _pos(x.w.act_root(alpha))
+            wneg = not _is_positive_vec(x.w.act_root(alpha))
             top = p if wneg else p - 1
             if top >= nmin:
                 return AffineRoot(alpha, nmin)
@@ -466,7 +465,7 @@ def highest_root_product(pd: ParabolicData, w: WeylElt) -> dict:
     winv = w.inverse()
     # first term present iff w alpha = theta for some alpha in R^+ \ R_P^+
     winv_theta = winv.act_root(rs.theta)
-    if _pos(winv_theta) and winv_theta not in pd._rp_set:
+    if _is_positive_vec(winv_theta) and winv_theta not in pd._rp_set:
         from .weyl import reflection_of
 
         shift = pd.eta(tuple(a - b for a, b in zip(rs.theta_vee, winv.act_coroot(rs.theta_vee))))

@@ -4,13 +4,15 @@ The near/far operators act on free S-modules over superregular affine
 elements (plain dicts ``AffineElt -> Scalar``); iterating the near operator
 over a Weyl-orbit of translations produces central elements, from which
 the affine Schubert classes, their products, and the isomorphism onto the
-localized quantum ring are computed.
+localized quantum ring are computed.  ``B``, ``C`` and their twisted forms
+are rules (a diagonal and weighted near or far cocovers) over one kernel,
+which accumulates on raw packed dicts and settles once.
 """
 
 from dataclasses import dataclass
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
-from .coeffring import Scalar, combo_axpy, from_raw, packed_addmul, root_scalar, scalar_one, settle, weight_diff
+from .coeffring import Scalar, combo_axpy, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
 from .nilhecke import NilHeckeElt, act_on_homology, is_central, mod_J
 from .quantum import QHClass, schubert_poly
 from .weyl import (
@@ -27,7 +29,6 @@ from .weyl import (
     superregular_antidominant,
     superregular_margin,
     translation,
-    weyl_identity,
 )
 
 GroupAlgebraElt = dict  # AffineElt -> Scalar
@@ -44,74 +45,54 @@ def _require_margin(x: AffineElt, units: int = 1):
                           f"(pairing units beyond 2|W| + 2)")
 
 
-def b_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Near equivariant affine Bruhat operator B^mu."""
-    out: GroupAlgebraElt = {}
+def _bruhat_operator(rs: RootSystem, f: GroupAlgebraElt, rule) -> GroupAlgebraElt:
+    """sum_x c_x (d_x x + sum k y), where rule(x) gives the diagonal Scalar d_x
+    and the weighted cocovers (y, k) of a superregular x = w t_{v lam}."""
+    out: dict = {}
     for x, c in f.items():
         _require_margin(x)
-        v, wv, covers = near_covers(x)
-        diag = weight_diff(rs, mu, wv)
+        diag, covers = rule(x)
+        t = c.packed
         if diag:
-            combo_axpy(out, x, c * diag)
-        for _a, avee, y, _case in covers:
-            k = rs.pair_weight(avee, mu)
+            packed_addmul(out, x, t, diag.packed)
+        for y, k in covers:
             if k:
-                combo_axpy(out, y, c * k)
-    return out
+                packed_axpy(out, y, t, k)
+    return from_raw(rs, settle(out))
+
+
+def b_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
+    """Near equivariant affine Bruhat operator B^mu: diagonal mu - w v mu, weights <alpha^vee, mu>."""
+    def rule(x):
+        _v, wv, covers = near_covers(x)
+        return weight_diff(rs, mu, wv), ((y, rs.pair_weight(avee, mu)) for _a, avee, y, _case in covers)
+    return _bruhat_operator(rs, f, rule)
 
 
 def c_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Far equivariant affine Bruhat operator C^mu."""
-    out: GroupAlgebraElt = {}
-    for x, c in f.items():
-        _require_margin(x)
+    """Far equivariant affine Bruhat operator C^mu: diagonal mu - v mu, weights <alpha^vee, mu>."""
+    def rule(x):
         v, covers = far_covers(x)
-        diag = weight_diff(rs, mu, v)
-        if diag:
-            combo_axpy(out, x, c * diag)
-        for _a, avee, y, _case in covers:
-            k = rs.pair_weight(avee, mu)
-            if k:
-                combo_axpy(out, y, c * k)
-    return out
-
-
-def _weight_pair_diff(rs: RootSystem, mu1, w1: WeylElt, w2: WeylElt) -> Scalar:
-    """w1 mu - w2 mu as a Scalar."""
-    d = tuple(a - b for a, b in zip(w1.act_weight(mu1), w2.act_weight(mu1)))
-    return root_scalar(rs, rs.root_lattice_check(d))
+        return weight_diff(rs, mu, v), ((y, rs.pair_weight(avee, mu)) for _a, avee, y, _case in covers)
+    return _bruhat_operator(rs, f, rule)
 
 
 def twisted_b(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Twisted near operator: diagonal (v^{-1} mu - w mu), weights <v alpha^vee, mu>."""
-    out: GroupAlgebraElt = {}
-    for x, c in f.items():
-        _require_margin(x)
-        v, wv, covers = near_covers(x)
-        diag = _weight_pair_diff(rs, mu, v.inverse(), x.w)
-        if diag:
-            combo_axpy(out, x, c * diag)
-        for _a, avee, y, _case in covers:
-            k = rs.pair_weight(v.act_coroot(avee), mu)
-            if k:
-                combo_axpy(out, y, c * k)
-    return out
+    """Twisted near operator: diagonal v^{-1} mu - w mu, weights <v alpha^vee, mu>."""
+    def rule(x):
+        v, _wv, covers = near_covers(x)
+        diag = weight_diff(rs, mu, x.w) - weight_diff(rs, mu, v.inverse())
+        return diag, ((y, rs.pair_weight(v.act_coroot(avee), mu)) for _a, avee, y, _case in covers)
+    return _bruhat_operator(rs, f, rule)
 
 
 def twisted_c(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Twisted far operator: diagonal (v^{-1} mu - mu), minus sign on the sum."""
-    out: GroupAlgebraElt = {}
-    for x, c in f.items():
-        _require_margin(x)
+    """Twisted far operator: diagonal v^{-1} mu - mu, weights -<v alpha^vee, mu>."""
+    def rule(x):
         v, covers = far_covers(x)
-        diag = _weight_pair_diff(rs, mu, v.inverse(), weyl_identity(rs))
-        if diag:
-            combo_axpy(out, x, c * diag)
-        for _a, avee, y, _case in covers:
-            k = rs.pair_weight(v.act_coroot(avee), mu)
-            if k:
-                combo_axpy(out, y, c * (-k))
-    return out
+        diag = -weight_diff(rs, mu, v.inverse())
+        return diag, ((y, -rs.pair_weight(v.act_coroot(avee), mu)) for _a, avee, y, _case in covers)
+    return _bruhat_operator(rs, f, rule)
 
 
 def upsilon(f: GroupAlgebraElt) -> NilHeckeElt:

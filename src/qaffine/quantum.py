@@ -233,17 +233,17 @@ def parabolic_chevalley(pd, i: int, sigma: QHClass) -> QHClass:
     if i in pd.nodes:
         raise ValueError("Chevalley node must lie outside the parabolic node set")
     out: QHClass = {}
-    rp_plus = set(pd.rp_positive)
     for (w, q), c in sigma.items():
         d = omega_diff(rs, i, w)
         if d:
             combo_axpy(out, (w, q), c * d)
         ups, quantums, _, _ = cover_table(rs, w)
-        for a, avee, wr in ups:
-            if a not in rp_plus and avee[i] and pd.is_minimal_rep(wr):
+        # avee[i] == 0 for alpha in R_P^+: Levi coroots are supported on I_P, and i is not in I_P
+        for _a, avee, wr in ups:
+            if avee[i] and pd.is_minimal_rep(wr):
                 combo_axpy(out, (wr, q), c * avee[i])
-        for a, avee, wr in quantums:
-            if a not in rp_plus and avee[i]:
+        for _a, avee, wr in quantums:
+            if avee[i]:
                 # l(pi_P(w r_alpha)) = l(w) + 1 - <alpha^vee, 2 rho - 2 rho_P>
                 pwr = pd.pi_finite(wr)
                 if pwr.length() == wr.length() + pd.pair_two_rho_p(avee):

@@ -13,7 +13,7 @@ translation.
 from dataclasses import dataclass
 from math import gcd
 
-from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, cached
+from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _is_positive_vec, cached
 
 
 class WeylElt:
@@ -120,10 +120,6 @@ def _combine(vecs, perm, simple_index, coeffs) -> tuple:
             for k, x in enumerate(vecs[perm[s]]):
                 out[k] += c * x
     return tuple(out)
-
-
-def _pos(v) -> bool:
-    return any(c > 0 for c in v)
 
 
 @cached("wid")
@@ -260,6 +256,13 @@ def translation(rs: RootSystem, lam: CorootVec) -> AffineElt:
     return AffineElt(weyl_identity(rs), tuple(lam))
 
 
+@cached("afsimple")
+def _affine_simple_roots(rs: RootSystem) -> tuple[AffineRoot, ...]:
+    """alpha_i for i in I_af, with alpha_0 = -theta + delta."""
+    return (AffineRoot(tuple(-c for c in rs.theta), 1),) + tuple(AffineRoot(rs.simple_root(i), 0)
+                                                               for i in range(rs.rank))
+
+
 def affine_simple_reflection(rs: RootSystem, i: int) -> AffineElt:
     """r_i for i in I_af, with r_0 = r_theta t_{-theta^vee}."""
     if i == 0:
@@ -319,7 +322,7 @@ def inversions(x: AffineElt) -> list[AffineRoot]:
     for a in rs.positive_roots:
         for alpha, nmin in ((a, 0), (tuple(-c for c in a), 1)):
             p = rs.pair(x.t, alpha)
-            wneg = not _pos(x.w.act_root(alpha))
+            wneg = not _is_positive_vec(x.w.act_root(alpha))
             top = p if wneg else p - 1
             for n in range(nmin, top + 1):
                 out.append(AffineRoot(alpha, n))
@@ -468,8 +471,9 @@ def far_covers(x: AffineElt):
     return v, out
 
 
-def cocovers_superregular(x: AffineElt, validate: bool = True) -> list[CoverRecord]:
-    """Case-tagged cocovers of a superregular x = w t_{v lam}."""
+def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
+    """Case-tagged cocovers of a superregular x = w t_{v lam}, certified
+    against the cover enumeration."""
     rs = x.rs
     if not is_superregular(x):
         raise ValueError("element is not superregular")
@@ -482,11 +486,10 @@ def cocovers_superregular(x: AffineElt, validate: bool = True) -> list[CoverReco
         if beta.is_positive():
             raise AssertionError("superregular cover reflection root unexpectedly positive")
         out.append(CoverRecord(x, y, -beta, "near" if case < 3 else "far", case, a))
-    if validate:
-        got = {(c.target, c.reflection_root) for c in out}
-        want = {(c.target, c.reflection_root) for c in cocovers(x)}
-        if got != want:
-            raise AssertionError("superregular classification disagrees with cover enumeration")
+    got = {(c.target, c.reflection_root) for c in out}
+    want = {(c.target, c.reflection_root) for c in cocovers(x)}
+    if got != want:
+        raise AssertionError("superregular classification disagrees with cover enumeration")
     return out
 
 
@@ -503,8 +506,7 @@ def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
             return True
         # find a left descent of y: l(r_i y) < l(y) iff y^{-1} alpha_i < 0
         yinv = y.inverse()
-        for i in range(rs.rank + 1):
-            beta = AffineRoot(rs.simple_root(i - 1), 0) if i else AffineRoot(tuple(-c for c in rs.theta), 1)
+        for i, beta in enumerate(_affine_simple_roots(rs)):
             if not yinv.act(beta).is_positive():
                 ri = affine_simple_reflection(rs, i)
                 y = ri * y
@@ -524,8 +526,7 @@ def reduced_word(x: AffineElt) -> tuple[int, ...]:
     out = []
     lx = length(x)
     while lx > 0:
-        for i in range(rs.rank + 1):
-            beta = AffineRoot(rs.simple_root(i - 1), 0) if i else AffineRoot(tuple(-c for c in rs.theta), 1)
+        for i, beta in enumerate(_affine_simple_roots(rs)):
             if not x.act(beta).is_positive():
                 out.append(i)
                 x = x * affine_simple_reflection(rs, i)

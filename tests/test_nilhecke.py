@@ -21,6 +21,7 @@ from qaffine.weyl import (
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
+    cocovers,
     enumerate_weyl,
     is_grassmannian,
     length,
@@ -219,6 +220,39 @@ def test_commutator_with_weight_integral():
             c = commutator_with_weight(rs, {x: one(rs)}, rs.fundamental_weight(i))
             for s in c.values():
                 s.to_int_coeffs()
+
+
+def test_superregular_cocover_pairs_match_enumeration():
+    # the superregular branch reads near/far cover rows with coroot -v alpha^vee;
+    # the enumeration gives the coroot of the positive reflection root directly
+    rng = random.Random(31)
+    for lbl in ["A2", "B2", "G2"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        lam = superregular_antidominant(rs, units=1)
+        for _ in range(30):
+            x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
+            want = {(c.target, rs.coroot_of(c.reflection_root.finite)) for c in cocovers(x)}
+            assert set(nilhecke._cocover_pairs(rs, x)) == want, (lbl, x)
+
+
+def test_commutator_is_twisted_b_minus_twisted_c():
+    # [mu, a] = twisted B^mu - twisted C^mu on any superregular a, central or not
+    rng = random.Random(37)
+    for lbl in ["A1", "A2", "B2", "G2"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        lam = superregular_antidominant(rs, units=2)
+        for _ in range(25):
+            a = {}
+            for _ in range(rng.randint(1, 3)):
+                x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
+                combo_axpy(a, x, Scalar.var(rng.randrange(rs.rank), rs.rank) * rng.randint(-2, 2) + one(rs))
+            mu = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+            want = peterson.twisted_b(rs, mu, a)
+            for y, c in peterson.twisted_c(rs, mu, a).items():
+                combo_axpy(want, y, -c)
+            assert commutator_with_weight(rs, a, mu) == want, (lbl, mu)
 
 
 def central_reference(rs, a):

@@ -149,7 +149,7 @@ def test_near_covers_match_qbg_edges():
                 assert is_superregular(x)
                 vv, _ = chamber_decompose(rs, x.t)
                 near = [(c.alpha, "bruhat" if c.case == 1 else "quantum")
-                        for c in cocovers_superregular(x, validate=False) if c.kind == "near"]
+                        for c in cocovers_superregular(x) if c.kind == "near"]
                 edges = [(e.alpha, e.kind) for e in g.out_edges(w * vv)]
                 assert sorted(near) == sorted(edges)
 

@@ -194,7 +194,7 @@ def test_superregular_matches_generic_random():
             x = AffineElt(w, v.act_coroot(jitter))
             if not is_superregular(x):
                 continue
-            got = {c.target for c in cocovers_superregular(x, validate=False)}
+            got = {c.target for c in cocovers_superregular(x)}
             want = {c.target for c in cocovers(x)}
             assert got == want
 
