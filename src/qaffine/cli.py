@@ -216,6 +216,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def _grassmannian(n: int, j: int):
+    """A_{n-1} and the maximal parabolic of Gr(j, n): I_P leaves out node j."""
+    rs = cartan.build(f"A{n - 1}")
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"j must lie in 1..n-1, got j = {j} with n = {n}")
+    return rs, build_parabolic(rs, [k for k in range(n - 1) if k != j - 1])
+
+
 def _dispatch(args) -> int:
     if args.cmd == "rootsys":
         rs = cartan.build(args.type)
@@ -341,8 +349,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "strange-dual":
-        rs = cartan.build(f"A{args.n - 1}")
-        pd = build_parabolic(rs, [k for k in range(args.n - 1) if k != args.j - 1])
+        rs, pd = _grassmannian(args.n, args.j)
         w = _finite_elt(rs, args.w)
         from .coeffring import scalar_one
 
@@ -351,8 +358,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "lm-map":
-        rs = cartan.build(f"A{args.n - 1}")
-        pd = build_parabolic(rs, [k for k in range(args.n - 1) if k != args.j - 1])
+        rs, pd = _grassmannian(args.n, args.j)
         parts = _parse_coroot(args.partition) if args.partition else ()
         x = partition_to_affine(rs, parts, args.n)
         img = lm_map(pd, {x: 1})

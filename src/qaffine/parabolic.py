@@ -9,10 +9,9 @@ the bounded-partition dictionary for Grassmannians.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
-from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _is_positive_vec, cached, solve_rational
+from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _adjugate, _is_positive_vec, cached
 from .coeffring import combo_axpy
 from .peterson import hom_product_basis
 from .weyl import (
@@ -96,51 +95,52 @@ class ParabolicData:
         th = self.component_theta(comp)
         return tuple(j for j in comp if th[j] == 1)
 
-    @cached("cinv")
-    def component_cartan_inv(self, comp: tuple):
-        """Rows of the inverse Cartan matrix of the component (Fractions)."""
-        # solving C^T x = e_k gives row k of C^{-1}
-        idx = range(len(comp))
-        mat = {(r, c): self.rs.cartan[comp[c]][comp[r]] for r in idx for c in idx}
-        return solve_rational(idx, idx, mat, [{k: 1} for k in idx])
+    @cached("cadj")
+    def component_cartan_adj(self, comp: tuple):
+        """(adj, det) of the component's Cartan matrix: its inverse is adj / det."""
+        return _adjugate([[self.rs.cartan[i][j] for j in comp] for i in comp])
 
+    @cached("vspecial")
     def v_special(self, comp: tuple, j: int) -> WeylElt:
         """Shortest v in W_{comp} with v omega_j = w_{0,comp} omega_j."""
         return longest_of(self.rs, comp) * longest_of(self.rs, [k for k in comp if k != j])
 
     # -- the closed form of pi_P on translations -----------------------------
     def pi_translation_data(self, lam: CorootVec):
-        """(v, lam_B, j_m per component) with pi_P(t_lam) = v t_{lam_B}."""
+        """(v, lam_B, j_m per component) with pi_P(t_lam) = v t_{lam_B}.
+
+        Each component's coordinates are kept as integers over the component
+        determinant det = det C_m, with C_m^{-1} = adj / det: a coordinate is
+        integral iff its numerator is divisible by det.
+        """
         rs = self.rs
         phi = [0] * rs.rank
         v = weyl_identity(rs)
         jms = []
         for comp in self.components:
-            inv = self.component_cartan_inv(comp)
+            adj, det = self.component_cartan_adj(comp)
+            idx = range(len(comp))
             # psi restricted to the component, in its coweight coordinates
-            cws = [rs.pair(lam, rs.simple_root(j)) for j in comp]
-            # coroot-basis coordinates of psi_m: sum_j cw_j * row_j(inv)
-            psi_coords = [sum(Fraction(cws[j]) * inv[j][k] for j in range(len(comp))) for k in range(len(comp))]
-            jm = None
-            if all(c.denominator == 1 for c in psi_coords):
+            cws = [sum(l * row[j] for l, row in zip(lam, rs.cartan)) for j in comp]
+            # det times the coroot-basis coordinates of psi_m: sum_j cw_j * row_j(adj)
+            psi = [sum(cws[j] * adj[j][k] for j in idx) for k in idx]
+            if all(c % det == 0 for c in psi):
                 jm = None  # the 0_m node: psi_m already in Q_m^vee
-                omega = [Fraction(0)] * len(comp)
+                omega = (0,) * len(comp)
             else:
+                specials = self.component_special_nodes(comp)
                 for cand_pos, cand in enumerate(comp):
-                    if cand not in self.component_special_nodes(comp):
-                        continue
-                    omega = [inv[cand_pos][k] for k in range(len(comp))]
-                    if all((c + o).denominator == 1 for c, o in zip(psi_coords, omega)):
+                    omega = adj[cand_pos]  # det times omega_cand^vee
+                    if cand in specials and all((c + o) % det == 0 for c, o in zip(psi, omega)):
                         jm = cand
                         break
                 else:
                     raise AssertionError("no special node matches the coweight class")
             # phi_m = -psi_m - omega_{j_m}
             for k, pos in enumerate(comp):
-                val = -psi_coords[k] - omega[k]
-                if val.denominator != 1:
+                phi[pos], rem = divmod(-psi[k] - omega[k], det)
+                if rem:
                     raise AssertionError("phi_P coordinate is not integral")
-                phi[pos] = int(val)
             if jm is not None:
                 v = v * self.v_special(comp, jm)
             jms.append(jm)

@@ -12,6 +12,7 @@ translation.
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mul
 
 from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _is_positive_vec, cached
 
@@ -493,27 +494,62 @@ def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
     return out
 
 
+@cached("leftnodes")
+def _left_descent_data(rs: RootSystem):
+    """Per node i of I_af, with alpha_i = a + n delta and r_i = s t_tau:
+    (index of a, n, perm of s, coroot index of tau or None); then the
+    pairing rows of the roots by index."""
+    neg_theta = rs.root_index[tuple(-c for c in rs.theta)]
+    # r_0 = r_theta t_{-theta^vee}, and the coroot of -theta is -theta^vee
+    nodes = [(neg_theta, 1, reflection_of(rs, rs.theta).perm, neg_theta)]
+    nodes += [(rs.simple_index[i], 0, rs.simple_perms[i], None) for i in range(rs.rank)]
+    return tuple(nodes), tuple(rs.pairing_rows[a] for a in rs.roots)
+
+
 def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
-    """x <= y in the affine Bruhat order (left-descent recursion)."""
+    """x <= y in the affine Bruhat order (left-descent recursion).
+
+    By the lifting property, if r_i is a left descent of y then x <= y iff
+    r_i x <= r_i y when r_i is also a left descent of x, and x <= r_i y
+    otherwise.  Both elements are walked as raw pairs (w^{-1} as a root
+    permutation, lam) with lengths counted down from the entry.  For
+    alpha_i = a + n delta, node i is a left descent of w t_lam iff
+    (w t_lam)^{-1} alpha_i = w^{-1} a + (n + <lam, w^{-1} a>) delta < 0: the
+    level is below 0, or is 0 with w^{-1} a negative.  The step is
+    r_i (w t_lam) = (s w) t_{lam + w^{-1} tau} for r_i = s t_tau, one perm
+    composition, plus a coroot lookup at node 0 (tau_0 = -theta^vee).
+    """
     rs = x.rs
+    nodes, rows = _left_descent_data(rs)
+    coroots = rs.coroots
+    npos = len(rs.positive_roots)
     lx, ly = length(x), length(y)
+    xinv, xt = x.w.inverse().perm, x.t
+    yinv, yt = y.w.inverse().perm, y.t
+
+    def descends(winv, lam, k, n):
+        j = winv[k]
+        p = n + sum(map(mul, lam, rows[j]))
+        return p < 0 or (p == 0 and j >= npos)
+
+    def step(winv, lam, s, tau):
+        if tau is not None:
+            lam = tuple(map(add, lam, coroots[winv[tau]]))
+        return tuple(map(winv.__getitem__, s)), lam
+
     while True:
         if lx > ly:
             return False
-        if ly == 0:
-            return lx == 0 and x.is_identity()
-        if x == y:
+        if xt == yt and xinv == yinv:
             return True
-        # find a left descent of y: l(r_i y) < l(y) iff y^{-1} alpha_i < 0
-        yinv = y.inverse()
-        for i, beta in enumerate(_affine_simple_roots(rs)):
-            if not yinv.act(beta).is_positive():
-                ri = affine_simple_reflection(rs, i)
-                y = ri * y
+        if ly == 0:  # ly falls by one a step, so the walk ends
+            return False
+        for k, n, s, tau in nodes:
+            if descends(yinv, yt, k, n):
+                yinv, yt = step(yinv, yt, s, tau)
                 ly -= 1
-                xi = ri * x
-                if length(xi) < lx:
-                    x = xi
+                if descends(xinv, xt, k, n):
+                    xinv, xt = step(xinv, xt, s, tau)
                     lx -= 1
                 break
         else:

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaffine import cartan
+from qaffine.cartan import solve_rational
 from qaffine.coeffring import Scalar, scalar_one
 from qaffine.nilhecke import act_on_homology
 from qaffine.parabolic import (
@@ -38,6 +42,7 @@ from qaffine.weyl import (
     from_word,
     is_grassmannian,
     length,
+    longest_of,
     reduced_word,
     simple_reflection,
     translation,
@@ -48,6 +53,48 @@ from qaffine.weyl import (
 def gr24():
     rs = cartan.build("A3")
     return rs, build_parabolic(rs, [0, 2])  # Gr(2,4): I_P = {1,3} 1-based
+
+
+def _pi_translation_data_fractions(pd, lam):
+    """Reference: the closed form of pi_P(t_lam) with each component's inverse
+    Cartan matrix in Fractions."""
+    rs = pd.rs
+    phi = [0] * rs.rank
+    v = weyl_identity(rs)
+    jms = []
+    for comp in pd.components:
+        idx = range(len(comp))
+        # solving C^T x = e_k gives row k of C^{-1}
+        inv = solve_rational(idx, idx, {(r, c): rs.cartan[comp[c]][comp[r]] for r in idx for c in idx},
+                             [{k: 1} for k in idx])
+        cws = [rs.pair(lam, rs.simple_root(j)) for j in comp]
+        psi = [sum(Fraction(cws[j]) * inv[j][k] for j in idx) for k in idx]
+        jm, omega = None, [Fraction(0)] * len(comp)
+        if any(c.denominator != 1 for c in psi):
+            jm, omega = next((cand, inv[pos]) for pos, cand in enumerate(comp)
+                             if cand in pd.component_special_nodes(comp)
+                             and all((c + o).denominator == 1 for c, o in zip(psi, inv[pos])))
+        for k, pos in enumerate(comp):
+            val = -psi[k] - omega[k]
+            assert val.denominator == 1
+            phi[pos] = int(val)
+        if jm is not None:
+            v = v * longest_of(rs, comp) * longest_of(rs, [k for k in comp if k != jm])
+        jms.append(jm)
+    return v, tuple(a + b for a, b in zip(lam, phi)), tuple(jms)
+
+
+PI_P_PARABOLICS = [("A3", (1, 2)), ("B3", (1, 2)), ("C3", (1, 2)), ("A4", (0, 2, 3)), ("G2", (0,)),
+                   ("D4", (0, 2, 3))]  # D4: three components
+PI_P_DATA = {label: build_parabolic(cartan.build(label), nodes) for label, nodes in PI_P_PARABOLICS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PI_P_DATA)), st.data())
+def test_pi_translation_data_matches_fraction_reference(label, data):
+    pd = PI_P_DATA[label]
+    lam = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=pd.rs.rank, max_size=pd.rs.rank)))
+    assert pd.pi_translation_data(lam) == _pi_translation_data_fractions(pd, lam)
 
 
 def test_pi_P_certificate_survives_python_O(run_python):

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaffine import cartan
 from qaffine.cartan import AffineRoot
+from qaffine.qbruhat import build_qbg, endpoint_for_pair
 from qaffine.weyl import (
     AffineElt,
     affine_from_word,
@@ -271,6 +274,69 @@ def _subword_leq(rs, wx, wy):
         if affine_from_word(rs, tuple(wy[i] for i in picks)) == target:
             return True
     return not wx
+
+
+def _bruhat_leq_by_lengths(x, y):
+    """Reference: the left-descent recursion on AffineElt, with every descent
+    found by comparing lengths."""
+    rs = x.rs
+    lx, ly = length(x), length(y)
+    while True:
+        if lx > ly:
+            return False
+        if ly == 0:
+            return lx == 0 and x.is_identity()
+        if x == y:
+            return True
+        for i in range(rs.rank + 1):
+            ri = affine_simple_reflection(rs, i)
+            yi = ri * y
+            if length(yi) < ly:
+                y, ly = yi, ly - 1
+                xi = ri * x
+                if length(xi) < lx:
+                    x, lx = xi, lx - 1
+                break
+        else:
+            raise AssertionError("no descent found for a non-identity element")
+
+
+SHORT_TYPES = {label: cartan.build(label) for label in ("A2", "B2", "G2")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SHORT_TYPES)), st.lists(st.integers(0, 2), max_size=6), st.data())
+def test_bruhat_leq_matches_subword_oracle(label, raw, data):
+    # y from letters mod |I_af|; x from a subword of a reduced word of y (so
+    # x <= y) or from letters of its own
+    rs = SHORT_TYPES[label]
+    y = affine_from_word(rs, tuple(i % (rs.rank + 1) for i in raw))
+    wy = reduced_word(y)
+    if data.draw(st.booleans()):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(wy), max_size=len(wy)))
+        x = affine_from_word(rs, tuple(i for i, k in zip(wy, keep) if k))
+    else:
+        x = affine_from_word(rs, tuple(i % (rs.rank + 1) for i in data.draw(st.lists(st.integers(0, 2), max_size=4))))
+    assert bruhat_leq(x, y) == _subword_leq(rs, reduced_word(x), wy)
+    assert bruhat_leq(y, x) == _subword_leq(rs, wy, reduced_word(x))
+
+
+DEEP_TYPES = {label: cartan.build(label) for label in ("A3", "G2")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(DEEP_TYPES)), st.data())
+def test_bruhat_leq_matches_length_recursion_on_deep_endpoints(label, data):
+    # the endpoints x(u, w) of the tilted-order check: superregular elements
+    # whose lengths run into the hundreds
+    rs = DEEP_TYPES[label]
+    g = build_qbg(rs)
+    W = enumerate_weyl(rs)
+    u, w, v = (data.draw(st.sampled_from(W)) for _ in range(3))
+    lam = superregular_antidominant(rs, units=max(g.distances_from(u).values()) + 1)
+    xw, xv = endpoint_for_pair(g, u, w, lam), endpoint_for_pair(g, u, v, lam)
+    assert bruhat_leq(xv, xw) == _bruhat_leq_by_lengths(xv, xw)
+    assert bruhat_leq(xw, xv) == _bruhat_leq_by_lengths(xw, xv)
 
 
 def test_group_law():
