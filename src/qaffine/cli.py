@@ -370,6 +370,8 @@ def _dispatch(args) -> int:
         if getattr(args, "type", None):
             kwargs["types"] = (args.type,)
         if getattr(args, "qdeg", None) is not None:
+            if args.qdeg < 0:
+                raise ValueError(f"qdeg must be at least 0, got {args.qdeg}")
             kwargs["max_q_height"] = args.qdeg
         report = suites.run_suite(args.suite, **kwargs)
         _emit(report)

@@ -7,7 +7,9 @@ divisor classes: a quantum Schubert polynomial is extracted for each w once
 and certified by re-evaluation, after which any product is a composition of
 Chevalley operators.  Those compositions, and the Schubert-polynomial
 layers, accumulate raw classes in place and settle them once (see
-``coeffring``); the compositions run through the one kernel ``chevalley_raw``.
+``coeffring``).  A polynomial is evaluated by Horner's rule over the prefix
+trie of its words, through the one kernel ``chevalley_into``, which adds its
+image into an accumulator its caller passes in.
 """
 
 from dataclasses import dataclass
@@ -34,14 +36,14 @@ def qh_basis(rs: RootSystem, w: WeylElt, qexp: CorootVec | None = None) -> QHCla
     return {(w, qexp if qexp is not None else rs.zero_coroot()): scalar_one(rs)}
 
 
-def chevalley_raw(rs: RootSystem, i: int, raw: dict) -> dict:
-    """The Chevalley kernel: multiplication by sigma^{r_i} on a raw class.
+def chevalley_into(rs: RootSystem, i: int, raw: dict, out: dict) -> dict:
+    """The Chevalley kernel: adds sigma^{r_i} times the raw class ``raw``
+    into the accumulator ``out`` and returns it, unsettled.
 
     The image of c sigma^w is c (omega_i - w.omega_i) sigma^w, plus
     c <alpha^vee, omega_i> at every up and quantum out-edge of w in the
     quantum Bruhat graph, the quantum ones shifted by q^{alpha^vee}.
     """
-    out: dict = {}
     for (w, q), t in raw.items():
         d = omega_diff(rs, i, w).packed
         if d:
@@ -55,12 +57,12 @@ def chevalley_raw(rs: RootSystem, i: int, raw: dict) -> dict:
             k = avee[i]
             if k:
                 packed_axpy(out, (wr, tuple(map(add, q, avee))), t, k)
-    return settle(out)
+    return out
 
 
 def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
     """Multiplication by the divisor class sigma^{r_i} (0-based node i)."""
-    return from_raw(rs, chevalley_raw(rs, i, to_raw(sigma)))
+    return from_raw(rs, settle(chevalley_into(rs, i, to_raw(sigma), {})))
 
 
 def chevalley_weight(rs: RootSystem, mu: WeightVec, sigma: QHClass) -> QHClass:
@@ -158,22 +160,29 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly, start: QHClass | None = N
     """The polynomial applied to ``start``; the default sigma^id gives the
     round-trip oracle, so the image is the class the polynomial represents.
 
-    The terms' words are walked as a prefix trie on raw classes: each
-    distinct non-empty prefix costs one ``chevalley_raw`` application,
-    however many terms share it, and the result is wrapped once.
+    Horner's rule over the prefix trie of the terms' words, on raw classes:
+    each term seeds its word's node with coefficient * q^shift * start, and
+    the nodes are taken from the longest to the shortest, each settled and
+    pushed by the Chevalley step of its last letter into its parent's
+    accumulator (multiplication by sigma^{r_i} is S[q]-linear and the steps
+    commute).  So each distinct non-empty prefix costs one ``chevalley_into``
+    application, on the sum of its subtree, and the root is wrapped once.
     """
     if start is None:
         start = qh_basis(rs, weyl_identity(rs))
-    reached = {(): to_raw(start)}
-    out: dict = {}
+    seed = to_raw(start)
+    nodes: dict = {(): {}}
     for (q, word), c in poly.terms.items():
         for k in range(1, len(word) + 1):
-            if word[:k] not in reached:
-                reached[word[:k]] = chevalley_raw(rs, word[k - 1], reached[word[:k - 1]])
+            nodes.setdefault(word[:k], {})
+        acc = nodes[word]
         ct = c.packed
-        for (v, qv), t in reached[word].items():
-            packed_addmul(out, (v, tuple(map(add, qv, q))), t, ct)
-    return from_raw(rs, settle(out))
+        for (v, qv), t in seed.items():
+            packed_addmul(acc, (v, tuple(map(add, qv, q))), t, ct)
+    for word in sorted(nodes, key=len, reverse=True):
+        if word:
+            chevalley_into(rs, word[-1], settle(nodes.pop(word)), nodes[word[:-1]])
+    return from_raw(rs, settle(nodes[()]))
 
 
 @cached("qhprod")

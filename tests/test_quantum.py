@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qaffine import cartan, quantum
 from qaffine.coeffring import Scalar, combo_axpy, scalar_one
 from qaffine.quantum import (
+    QSchubertPoly,
     chevalley,
     chevalley_weight,
     evaluate_poly,
@@ -234,13 +238,13 @@ def test_product_and_evaluate_match_per_term_reference():
 
 def test_evaluate_poly_one_chevalley_call_per_prefix(monkeypatch):
     calls = []
-    real = quantum.chevalley_raw
+    real = quantum.chevalley_into
 
-    def counting(rs, i, sigma):
+    def counting(rs, i, raw, out):
         calls.append(i)
-        return real(rs, i, sigma)
+        return real(rs, i, raw, out)
 
-    monkeypatch.setattr(quantum, "chevalley_raw", counting)
+    monkeypatch.setattr(quantum, "chevalley_into", counting)
     for lbl in ["A3", "B3", "G2"]:
         rs = cartan.build(lbl)
         for w in [longest_element(rs)] + random.Random(3).sample(enumerate_weyl(rs), 4):
@@ -249,6 +253,29 @@ def test_evaluate_poly_one_chevalley_call_per_prefix(monkeypatch):
             calls.clear()
             assert evaluate_poly(rs, poly) == qh_basis(rs, w)
             assert len(calls) == len(prefixes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "A3"]), st.data())
+def test_evaluate_poly_matches_per_term_reference_on_synthetic_polys(label, data):
+    # Horner over the trie against one chain per term: arbitrary words (sorted
+    # or not), q-shifts and coefficients, on a start class of several keys
+    rs = cartan.build(label)
+    r = rs.rank
+    words = st.lists(st.integers(0, r - 1), max_size=4).flatmap(
+        lambda w: st.sampled_from([tuple(w), tuple(sorted(w))]))
+    shifts = st.tuples(*[st.integers(0, 2)] * r)
+    coeffs = st.one_of(
+        st.integers(-3, 3).filter(bool).map(lambda n: Scalar.const(n, r)),
+        st.fractions(-3, 3, max_denominator=6).filter(bool).map(lambda x: Scalar.const(x, r)),
+        st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any).map(Scalar.linear),
+    )
+    terms = data.draw(st.dictionaries(st.tuples(shifts, words), coeffs, min_size=1, max_size=6))
+    keys = data.draw(st.lists(st.tuples(st.sampled_from(enumerate_weyl(rs)), st.tuples(*[st.integers(0, 1)] * r)),
+                              min_size=2, max_size=3, unique=True))
+    start = {k: data.draw(coeffs) for k in keys}
+    poly = QSchubertPoly(weyl_identity(rs), terms)
+    assert evaluate_poly(rs, poly, start) == _reference_evaluate(rs, poly, start)
 
 
 def test_integral_poly_coefficients_stored_as_int():
