@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import cartan, suites
-from .coeffring import q_str
+from .coeffring import q_str, scalar_one
 from .nilhecke import to_json_list
 from .parabolic import build_parabolic, lm_map, partition_to_affine, pi_P_translation, strange_duality
 from .peterson import BudgetError, hom_product_basis, j_class, pieri_r0
@@ -351,8 +351,6 @@ def _dispatch(args) -> int:
     if args.cmd == "strange-dual":
         rs, pd = _grassmannian(args.n, args.j)
         w = _finite_elt(rs, args.w)
-        from .coeffring import scalar_one
-
         img = strange_duality(pd, {(w, (0,)): scalar_one(rs)})
         _emit({f"({t!r},q^{q[0]})": str(c) for (t, q), c in img.items()})
         return 0

@@ -14,16 +14,17 @@ there are at most ``MAX_RANK`` variables, and a monomial product is one
 integer addition.  Two guard-free fields add without a carry into the next
 field, so a product overflowed iff a guard bit of the sum is set; every
 product is certified by that test, with an explicit raise that python -O
-keeps.  The packed dicts ``{monomial: coefficient}`` are also the raw form of
-the hot S-linear combinations: they accumulate with ``packed_addmul`` and
-``packed_axpy`` and finish with ``settle``, which drops zeros and certifies
-the guard bits.  This module is the only place where the layout is read;
+keeps.  This module is the only place where the layout is read;
 ``to_raw``/``from_raw`` are the one bridge between dicts ``key -> Scalar``
 and raw classes, and ``Scalar.packed`` hands out one Scalar's dict.
 
-``q_lambda`` monomials are bare coroot-coordinate tuples.  Group-algebra /
-module elements over S are plain dicts ``key -> Scalar`` with no zero values
-stored; ``combo_axpy`` keeps that invariant.
+``q_lambda`` monomials are bare coroot-coordinate tuples.  Every S-linear
+combination (quantum, group-algebra, nilHecke, homology and parabolic
+classes) is a plain dict ``key -> Scalar`` with no zero values stored, and is
+built one way: a raw class ``key -> {monomial: coefficient}`` accumulates
+with ``packed_addmul`` and ``packed_axpy`` and ends with one
+``from_raw(rs, settle(raw))``, which drops zeros and certifies the guard
+bits; where the keys are provably distinct the dict is built directly.
 """
 
 from fractions import Fraction
@@ -145,12 +146,16 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self._t == other._t
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return self._t == ({0: other} if other else {})
         return False
 
     def __hash__(self):
-        return hash(frozenset(self._t.items()))
+        # a constant equals its number, so it hashes as that number
+        t = self._t
+        if not t.keys() - {0}:
+            return hash(t.get(0, 0))
+        return hash(frozenset(t.items()))
 
     def __add__(self, other):
         out = dict(self._t)
@@ -358,19 +363,3 @@ def settle(raw: dict) -> dict:
             out[key] = t
     return out
 
-
-# -- sparse linear combinations over S --------------------------------------
-
-def combo_axpy(dst: dict, key, s: Scalar) -> None:
-    """dst[key] += s, dropping zeros."""
-    if not s:
-        return
-    cur = dst.get(key)
-    if cur is None:
-        dst[key] = s
-    else:
-        n = cur + s
-        if n:
-            dst[key] = n
-        else:
-            del dst[key]

@@ -9,7 +9,7 @@ is the general-weight commutator it agrees with.
 """
 
 from .cartan import RootSystem, WeightVec, cached
-from .coeffring import Scalar, combo_axpy, omega_diff, packed_addmul, packed_axpy, root_scalar, settle
+from .coeffring import Scalar, from_raw, omega_diff, packed_addmul, packed_axpy, settle, weight_diff
 from .weyl import (
     AffineElt,
     cocovers,
@@ -17,6 +17,7 @@ from .weyl import (
     is_grassmannian,
     length,
     near_covers,
+    serialize,
     superregular_margin,
 )
 
@@ -47,31 +48,30 @@ def commute_scalar(rs: RootSystem, x: AffineElt, mu: WeightVec) -> NilHeckeElt:
     The diagonal coefficient x . mu is a weight; its root-basis coordinates
     may be fractional, so the resulting Scalar can carry Fractions.
     """
-    out: NilHeckeElt = {}
     wmu = x.w.act_weight(mu)
     coords = rs.weight_to_root_basis(wmu)
     diag = Scalar.linear(tuple(int(c) if c.denominator == 1 else c for c in coords))
-    combo_axpy(out, x, diag)
+    # the cocovers of x are distinct and differ from x, so each key is set once
+    out: NilHeckeElt = {x: diag} if diag else {}
     for y, bvee in _cocover_pairs(rs, x):
         c = rs.pair_weight(bvee, mu)
         if c:
-            combo_axpy(out, y, Scalar.const(c, rs.rank))
+            out[y] = Scalar.const(c, rs.rank)
     return out
 
 
 def commutator_with_weight(rs: RootSystem, a: NilHeckeElt, mu: WeightVec) -> NilHeckeElt:
     """mu a - a mu; its coefficients always lie in Z[alpha]."""
-    out: NilHeckeElt = {}
+    out: dict = {}
     for x, cx in a.items():
+        t = cx.packed
         # (mu - x.mu) A_x part
-        wmu = x.w.act_weight(mu)
-        diff = root_scalar(rs, rs.root_lattice_check(tuple(m - w for m, w in zip(mu, wmu))))
-        combo_axpy(out, x, cx * diff)
+        packed_addmul(out, x, t, weight_diff(rs, mu, x.w).packed)
         for y, bvee in _cocover_pairs(rs, x):
             c = rs.pair_weight(bvee, mu)
             if c:
-                combo_axpy(out, y, cx * (-c))
-    return out
+                packed_axpy(out, y, t, -c)
+    return from_raw(rs, settle(out))
 
 
 def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
@@ -101,38 +101,37 @@ def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
 
 def _push_variable(rs: RootSystem, a: NilHeckeElt, i: int) -> NilHeckeElt:
     """a . alpha_i with the variable moved to the left."""
-    out: NilHeckeElt = {}
+    out: dict = {}
     alpha = tuple(row[i] for row in rs.cartan)  # alpha_i in the weight basis
     for x, cx in a.items():
         for y, c in commute_scalar(rs, x, alpha).items():
-            combo_axpy(out, y, cx * c)
-    return out
+            packed_addmul(out, y, cx.packed, c.packed)
+    return from_raw(rs, settle(out))
 
 
 def scalar_on_right(rs: RootSystem, a: NilHeckeElt, s: Scalar) -> NilHeckeElt:
     """a . s for s in Z[alpha], normalized with all scalars on the left."""
-    out: NilHeckeElt = {}
+    out: dict = {}
     for exps, coeff in s.terms.items():
         cur = a
         for i, e in enumerate(exps):
             for _ in range(e):
                 cur = _push_variable(rs, cur, i)
         for x, cx in cur.items():
-            combo_axpy(out, x, cx * coeff)
-    return out
+            packed_axpy(out, x, cx.packed, coeff)
+    return from_raw(rs, settle(out))
 
 
 def product(rs: RootSystem, a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
     """Full nilHecke product of left-normalized elements."""
-    out: NilHeckeElt = {}
-    one = Scalar.const(1, rs.rank)
+    out: dict = {}
     for y, cy in b.items():
         moved = scalar_on_right(rs, a, cy)
         ly = length(y)
         for x, cx in moved.items():
             if length(x) + ly == length(x * y):
-                combo_axpy(out, x * y, cx)
-    return out
+                packed_axpy(out, x * y, cx.packed, 1)
+    return from_raw(rs, settle(out))
 
 
 def mod_J(a: NilHeckeElt) -> NilHeckeElt:
@@ -143,18 +142,17 @@ def mod_J(a: NilHeckeElt) -> NilHeckeElt:
 def act_on_homology(rs: RootSystem, a: NilHeckeElt, xi: dict) -> dict:
     """A_y . xi_z = xi_{yz} when length-additive and yz Grassmannian, else 0."""
     out: dict = {}
-    zs = [(z, cz, length(z)) for z, cz in xi.items()]
+    zs = [(z, cz.packed, length(z)) for z, cz in xi.items()]
     for y, cy in a.items():
         ly = length(y)
-        for z, cz, lz in zs:
+        t = cy.packed
+        for z, tz, lz in zs:
             yz = y * z
             if is_grassmannian(yz) and ly + lz == length(yz):
-                combo_axpy(out, yz, cy * cz)
-    return out
+                packed_addmul(out, yz, t, tz)
+    return from_raw(rs, settle(out))
 
 
 def to_json_list(rs: RootSystem, a: NilHeckeElt) -> list:
-    from .weyl import serialize
-
     items = sorted(a.items(), key=lambda kv: (length(kv[0]), repr(kv[0])))
     return [{"element": serialize(x), "coefficient": str(c)} for x, c in items]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _adjugate, _is_positive_vec, cached
-from .coeffring import combo_axpy
+from .coeffring import from_raw, packed_axpy, settle
 from .peterson import hom_product_basis
 from .weyl import (
     AffineElt,
@@ -26,6 +26,7 @@ from .weyl import (
     length,
     longest_element,
     longest_of,
+    reflection_of,
     reflection_of_affine,
     simple_reflection,
     weyl_identity,
@@ -321,7 +322,8 @@ def quotient_product(pd: ParabolicData, v: WeylElt, u: WeylElt, lam_p=None, mu_p
             continue
         uz, qz = factor_parabolic(pd, z)
         q = tuple(a - b - d + l + m for a, b, d, l, m in zip(qz, base_x, base_y, lam_p, mu_p))
-        combo_axpy(out, (uz, q), c)
+        packed_axpy(out, (uz, q), c.packed, 1)
+    out = from_raw(rs, settle(out))
     for (w, q) in out:
         if any(a < b + c for a, b, c in zip(q, lam_p, mu_p)):
             raise AssertionError("quotient product exponent dropped below input")
@@ -447,8 +449,8 @@ def strange_duality(pd: ParabolicData, cls: dict) -> dict:
     for (w, q), c in cls.items():
         img = pd.pi_finite(wp * w)
         q2 = tuple(-x - delta_count(pd, w) for x in q)
-        combo_axpy(out, (img, q2), c)
-    return out
+        packed_axpy(out, (img, q2), c.packed, 1)
+    return from_raw(rs, settle(out))
 
 
 def highest_root_product(pd: ParabolicData, w: WeylElt) -> dict:
@@ -457,7 +459,7 @@ def highest_root_product(pd: ParabolicData, w: WeylElt) -> dict:
     Returns a parabolic class with integer coefficients.
     """
     rs = pd.rs
-    if not pd.nodes != set(range(rs.rank)):
+    if pd.nodes == set(range(rs.rank)):
         raise ValueError("P must be proper")
     if not pd.is_minimal_rep(w):
         raise ValueError("w must lie in W^P")
@@ -466,8 +468,6 @@ def highest_root_product(pd: ParabolicData, w: WeylElt) -> dict:
     # first term present iff w alpha = theta for some alpha in R^+ \ R_P^+
     winv_theta = winv.act_root(rs.theta)
     if _is_positive_vec(winv_theta) and winv_theta not in pd._rp_set:
-        from .weyl import reflection_of
-
         shift = pd.eta(tuple(a - b for a, b in zip(rs.theta_vee, winv.act_coroot(rs.theta_vee))))
         target = pd.pi_finite(reflection_of(rs, rs.theta) * w)
         out[(target, shift)] = 1

@@ -12,9 +12,9 @@ which accumulates on raw packed dicts and settles once.
 from dataclasses import dataclass
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
-from .coeffring import Scalar, combo_axpy, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
+from .coeffring import Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
 from .nilhecke import NilHeckeElt, act_on_homology, is_central, mod_J
-from .quantum import QHClass, schubert_poly
+from .quantum import QHClass, gw_coefficient, schubert_poly
 from .weyl import (
     AffineElt,
     WeylElt,
@@ -102,11 +102,11 @@ def upsilon(f: GroupAlgebraElt) -> NilHeckeElt:
 
 def sum_translations(rs: RootSystem, lam: CorootVec) -> GroupAlgebraElt:
     """sum_{w in W} t_{w lam}."""
-    out: GroupAlgebraElt = {}
-    one = scalar_one(rs)
+    out: dict = {}
+    one = scalar_one(rs).packed
     for w in enumerate_weyl(rs):
-        combo_axpy(out, translation(rs, w.act_coroot(lam)), one)
-    return out
+        packed_axpy(out, translation(rs, w.act_coroot(lam)), one, 1)
+    return from_raw(rs, settle(out))
 
 
 def theta_map(rs: RootSystem, w: WeylElt, lam: CorootVec, sigma: QHClass) -> GroupAlgebraElt:
@@ -117,7 +117,8 @@ def theta_map(rs: RootSystem, w: WeylElt, lam: CorootVec, sigma: QHClass) -> Gro
         shifted = tuple(l + m for l, m in zip(lam, q))
         if not (rs.is_antidominant(shifted) and is_superregular(translation(rs, shifted))):
             raise BudgetError("class is not lam-small for this lam")
-        combo_axpy(out, AffineElt(v * winv, w.act_coroot(shifted)), c)
+        # (v, q) -> (v w^{-1}, w(lam + q)) is injective, so each key is set once
+        out[AffineElt(v * winv, w.act_coroot(shifted))] = c
     return out
 
 
@@ -248,22 +249,17 @@ def hom_product(a: HomologyClass, b: HomologyClass) -> HomologyClass:
     out: dict = {}
     for x, cx in a.terms.items():
         for z, cz in b.terms.items():
-            base = hom_product_basis(rs, x, z)
-            c = cx * cz
-            for y, cy in base.items():
-                combo_axpy(out, y, cy * c)
+            c = (cx * cz).packed
+            for y, cy in hom_product_basis(rs, x, z).items():
+                packed_addmul(out, y, cy.packed, c)
     denom = tuple(p + q for p, q in zip(a.denom, b.denom))
-    return HomologyClass(rs, out, denom)
+    return HomologyClass(rs, from_raw(rs, settle(out)), denom)
 
 
 def psi_map(h: HomologyClass) -> QHClass:
     """xi_{w t_lam} xi_{t_nu}^{-1} -> q_{lam - nu} sigma^w."""
-    rs = h.rs
-    out: QHClass = {}
-    for x, c in h.terms.items():
-        q = tuple(a - b for a, b in zip(x.t, h.denom))
-        combo_axpy(out, (x.w, q), c)
-    return out
+    # x -> (x.w, x.t - nu) is injective, so each key is set once
+    return {(x.w, tuple(a - b for a, b in zip(x.t, h.denom))): c for x, c in h.terms.items()}
 
 
 def psi_inverse(rs: RootSystem, sigma: QHClass) -> HomologyClass:
@@ -281,17 +277,13 @@ def psi_inverse(rs: RootSystem, sigma: QHClass) -> HomologyClass:
         if ok:
             break
         scale *= 2
-    terms = {}
-    for (w, q), c in sigma.items():
-        shifted = tuple(a + b for a, b in zip(q, nus))
-        combo_axpy(terms, AffineElt(w, shifted), c)
+    # (w, q) -> w t_{q + nu} is injective, so each key is set once
+    terms = {AffineElt(w, tuple(a + b for a, b in zip(q, nus))): c for (w, q), c in sigma.items()}
     return HomologyClass(rs, terms, nus)
 
 
 def j_from_gw(rs: RootSystem, x: AffineElt, y: AffineElt) -> Scalar:
     """j^y_x from the quantum side: c_{w,v}^{uv, v^{-1}nu - lam}."""
-    from .quantum import gw_coefficient
-
     if not is_grassmannian(x):
         raise ValueError("x must be Grassmannian")
     if not is_superregular(y):

@@ -18,7 +18,6 @@ from operator import add
 from .cartan import CorootVec, RootSystem, WeightVec, cached, solve_rational
 from .coeffring import (
     Scalar,
-    combo_axpy,
     from_raw,
     omega_diff,
     packed_addmul,
@@ -66,12 +65,13 @@ def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
 
 
 def chevalley_weight(rs: RootSystem, mu: WeightVec, sigma: QHClass) -> QHClass:
-    out: QHClass = {}
+    """Multiplication by sum_i mu_i sigma^{r_i}."""
+    raw = to_raw(sigma)
+    out: dict = {}
     for i, m in enumerate(mu):
         if m:
-            for k, c in chevalley(rs, i, sigma).items():
-                combo_axpy(out, k, c * m)
-    return out
+            chevalley_into(rs, i, {k: {e: c * m for e, c in t.items()} for k, t in raw.items()}, out)
+    return from_raw(rs, settle(out))
 
 
 @dataclass
@@ -194,15 +194,14 @@ def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
 
 
 def product(rs: RootSystem, a: QHClass, b: QHClass) -> QHClass:
-    out: QHClass = {}
+    out: dict = {}
     for (u, qu), cu in a.items():
         for (v, qv), cv in b.items():
-            base = product_basis(rs, u, v)
-            c = cu * cv
-            shift = tuple(x + y for x, y in zip(qu, qv))
-            for (x, qx), s in base.items():
-                combo_axpy(out, (x, tuple(p + r for p, r in zip(qx, shift))), s * c)
-    return out
+            c = (cu * cv).packed
+            shift = tuple(map(add, qu, qv))
+            for (x, qx), s in product_basis(rs, u, v).items():
+                packed_addmul(out, (x, tuple(map(add, qx, shift))), s.packed, c)
+    return from_raw(rs, settle(out))
 
 
 def gw_coefficient(rs: RootSystem, u: WeylElt, v: WeylElt, w: WeylElt, lam: CorootVec) -> Scalar:
@@ -212,10 +211,10 @@ def gw_coefficient(rs: RootSystem, u: WeylElt, v: WeylElt, w: WeylElt, lam: Coro
 def specialize(rs: RootSystem, sigma: QHClass, mode: str):
     """Evaluation maps: "q1" sets q = 1, "a0" sets alpha = 0, "both" does both."""
     if mode == "q1":
-        out = {}
+        out: dict = {}
         for (w, q), c in sigma.items():
-            combo_axpy(out, w, c)
-        return out
+            packed_axpy(out, w, c.packed, 1)
+        return from_raw(rs, settle(out))
     if mode == "a0":
         return {k: c.eval_zero() for k, c in sigma.items() if c.eval_zero()}
     if mode == "both":
@@ -241,24 +240,24 @@ def parabolic_chevalley(pd, i: int, sigma: QHClass) -> QHClass:
     rs = pd.rs
     if i in pd.nodes:
         raise ValueError("Chevalley node must lie outside the parabolic node set")
-    out: QHClass = {}
+    out: dict = {}
     for (w, q), c in sigma.items():
-        d = omega_diff(rs, i, w)
+        t = c.packed
+        d = omega_diff(rs, i, w).packed
         if d:
-            combo_axpy(out, (w, q), c * d)
+            packed_addmul(out, (w, q), t, d)
         ups, quantums, _, _ = cover_table(rs, w)
         # avee[i] == 0 for alpha in R_P^+: Levi coroots are supported on I_P, and i is not in I_P
         for _a, avee, wr in ups:
             if avee[i] and pd.is_minimal_rep(wr):
-                combo_axpy(out, (wr, q), c * avee[i])
+                packed_axpy(out, (wr, q), t, avee[i])
         for _a, avee, wr in quantums:
             if avee[i]:
                 # l(pi_P(w r_alpha)) = l(w) + 1 - <alpha^vee, 2 rho - 2 rho_P>
                 pwr = pd.pi_finite(wr)
                 if pwr.length() == wr.length() + pd.pair_two_rho_p(avee):
-                    q2 = tuple(x + y for x, y in zip(q, pd.eta(avee)))
-                    combo_axpy(out, (pwr, q2), c * avee[i])
-    return out
+                    packed_axpy(out, (pwr, tuple(map(add, q, pd.eta(avee)))), t, avee[i])
+    return from_raw(rs, settle(out))
 
 
 def pw_lift(pd, lam_p) -> tuple[CorootVec, frozenset, WeylElt]:

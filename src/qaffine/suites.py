@@ -8,7 +8,7 @@ command and the acceptance tests both run these.
 import random
 
 from . import cartan
-from .coeffring import Scalar, combo_axpy, scalar_one
+from .coeffring import Scalar, scalar_one
 from .nilhecke import mod_J
 from .parabolic import (
     bott_generator,
@@ -16,6 +16,7 @@ from .parabolic import (
     factor_parabolic,
     highest_root_product,
     in_JP,
+    lm_map,
     parabolic_basis_element,
     partition_to_affine,
     pi_P_translation,
@@ -41,7 +42,9 @@ from .quantum import (
     chevalley_weight,
     gw_coefficient,
     parabolic_chevalley,
+    product,
     product_basis,
+    pw_lift,
     qh_basis,
 )
 from .qbruhat import verify_tilted_embedding
@@ -133,14 +136,11 @@ def suite_peterson_borel(types=("A1", "A2", "B2", "A3")) -> dict:
                 x = AffineElt(simple_reflection(rs, i), lam)
                 for w in W:
                     z = AffineElt(w, mu)
-                    prod = hom_product_basis(rs, x, z)
-                    lhs = {}
-                    for y, c in prod.items():
-                        combo_axpy(lhs, (y.w, y.t), c)
-                    rhs = {}
+                    # both key maps are injective, so each key is set once
+                    lhs = {(y.w, y.t): c for y, c in hom_product_basis(rs, x, z).items()}
                     shift = tuple(a + b for a, b in zip(lam, mu))
-                    for (v, q), c in chevalley(rs, i, qh_basis(rs, w)).items():
-                        combo_axpy(rhs, (v, tuple(a + b for a, b in zip(q, shift))), c)
+                    rhs = {(v, tuple(a + b for a, b in zip(q, shift))): c
+                           for (v, q), c in chevalley(rs, i, qh_basis(rs, w)).items()}
                     checks += 1
                     if lhs != rhs:
                         failures.append({"type": lbl, "i": i + 1, "w": repr(w)})
@@ -149,6 +149,13 @@ def suite_peterson_borel(types=("A1", "A2", "B2", "A3")) -> dict:
 
 def suite_compare(types=("A1", "A2", "B2"), max_q_height: int = 4) -> dict:
     """GW coefficients equal j-coefficients, both directions of the dictionary."""
+    failures, checks, _collected = _compare_sweep(types, max_q_height)
+    return _report("compare", failures, checks)
+
+
+def _compare_sweep(types, max_q_height):
+    """The sweep of ``suite_compare``: its failures, its check count and
+    every j-coefficient it compared."""
     failures = []
     checks = 0
     collected = []
@@ -183,9 +190,7 @@ def suite_compare(types=("A1", "A2", "B2"), max_q_height: int = 4) -> dict:
                 if j_from_gw(rs, x, y) != coeff:
                     failures.append({"dir": "j_from_gw", "type": lbl, "x": repr(x), "y": repr(y)})
                 collected.append(coeff)
-    report = _report("compare", failures, checks)
-    report["collected_j"] = collected
-    return report
+    return failures, checks, collected
 
 
 def _q_exponents_bounded(rs, height):
@@ -303,8 +308,6 @@ def suite_chevalley() -> dict:
     # associativity on all triples in A2 (exact, all q-degrees)
     rs = cartan.build("A2")
     W = enumerate_weyl(rs)
-    from .quantum import product
-
     for u in W:
         su = qh_basis(rs, u)
         for v in W:
@@ -321,8 +324,8 @@ def suite_positivity() -> dict:
     """j-coefficients and homology structure constants are nonnegative in the alphas."""
     failures = []
     checks = 0
-    compare = suite_compare()
-    for c in compare["collected_j"]:
+    _failures, _checks, collected = _compare_sweep(("A1", "A2", "B2"), 4)
+    for c in collected:
         checks += 1
         if not c.is_nonneg_integral():
             failures.append({"id": "j-positivity", "value": str(c)})
@@ -378,8 +381,6 @@ def suite_parabolic() -> dict:
 
     # Peterson-Woodward transport, non-equivariant, Gr(2,4)
     rs, pd = _parabolic_table("A3", [0, 2])
-    from .quantum import pw_lift
-
     reps = pd.minimal_reps()
     for x in reps:
         for y in reps:
@@ -417,8 +418,6 @@ def suite_lapointe_morse() -> dict:
     """The quotient-with-duality map agrees with the partition dictionary."""
     failures = []
     checks = 0
-    from .parabolic import lm_map
-
     for n in [4, 5, 6, 7]:
         rs = cartan.build(f"A{n - 1}")
         for j in range(1, n):
@@ -502,6 +501,4 @@ def run_suite(name: str, **kwargs) -> dict:
     if extra:
         takes = f"it accepts {', '.join(sorted(allowed))}" if allowed else "it takes no arguments"
         raise ValueError(f"suite {name!r} does not accept {', '.join(extra)} ({takes})")
-    report = fn(**kwargs)
-    report.pop("collected_j", None)
-    return report
+    return fn(**kwargs)

@@ -43,9 +43,7 @@ def test_criterion_2_main_theorem_borel():
 
 
 def test_criterion_3_comparison():
-    rep = suites.suite_compare(("A1", "A2", "B2"), max_q_height=4)
-    rep.pop("collected_j", None)
-    _line(3, "GW = j dictionary", rep, 4682)
+    _line(3, "GW = j dictionary", suites.suite_compare(("A1", "A2", "B2"), max_q_height=4), 4682)
 
 
 def test_criterion_4_centrality():

@@ -1,14 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qaffine import cartan
 from qaffine.coeffring import (
     Scalar,
-    combo_axpy,
+    from_raw,
+    packed_axpy,
     q_str,
     root_scalar,
     scalar_one,
+    settle,
     weight_diff,
 )
 from qaffine.weyl import enumerate_weyl, reflection_of, simple_reflection, translation, weyl_identity
@@ -86,14 +89,29 @@ def test_weight_diff():
 def test_group_algebra_helpers():
     rs = cartan.build("A2")
     lam = (-2, -3)  # regular
-    terms = {}
+    one = scalar_one(rs).packed
+    raw = {}
     for w in enumerate_weyl(rs):
-        combo_axpy(terms, translation(rs, w.act_coroot(lam)), scalar_one(rs))
-    assert len(terms) == 6  # free W-orbit for regular lam
+        packed_axpy(raw, translation(rs, w.act_coroot(lam)), one, 1)
+    assert len(settle(raw)) == 6  # free W-orbit for regular lam
 
     key = translation(rs, lam)
-    combo_axpy(terms, key, -scalar_one(rs))
+    packed_axpy(raw, key, one, -1)
+    terms = from_raw(rs, settle(raw))
     assert len(terms) == 5 and key not in terms  # a zero sum is dropped
+    assert all(c == 1 for c in terms.values())
+
+
+def test_constant_scalar_equals_and_hashes_as_its_number():
+    # equal values must hash equally, or a set or dict keeps both
+    for n in (0, 3, -2, Fraction(1, 2), Fraction(4, 2)):
+        s = Scalar.const(n, 2)
+        assert s == n and hash(s) == hash(n)
+        assert len({s, n}) == 1
+    assert Scalar() == 0 and hash(Scalar()) == hash(0)
+    assert hash(Scalar.const(Fraction(6, 3), 2)) == hash(Scalar.const(2, 3))
+    assert a(0) != 0 and a(0) != Fraction(1) and Scalar.const(3, 2) != Fraction(1, 3)
+    assert hash(a(0) + a(1)) == hash(a(1) + a(0))
 
 
 def test_docstring_examples():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import combo_axpy
 from qaffine import cartan, nilhecke, peterson
-from qaffine.coeffring import MAX_EXP, Scalar, combo_axpy, scalar_one
+from qaffine.coeffring import MAX_EXP, Scalar, scalar_one
 from qaffine.nilhecke import (
     act_on_homology,
     basis_product,

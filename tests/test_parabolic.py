@@ -405,6 +405,13 @@ def test_highest_root_product_identity_case():
     assert target == pd.pi_finite(from_word(rs, [0, 1, 2, 1, 0]))  # pi_P(r_theta)
 
 
+def test_highest_root_product_needs_a_proper_parabolic():
+    rs = cartan.build("A3")
+    pd = build_parabolic(rs, range(rs.rank))
+    with pytest.raises(ValueError, match="proper"):
+        highest_root_product(pd, weyl_identity(rs))
+
+
 def test_highest_root_product_vs_quotient():
     rs, pd = gr24()
     rtheta_p = pd.pi_finite(from_word(rs, [0, 1, 2, 1, 0]))

@@ -1,9 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
+from conftest import combo_axpy
 from qaffine import cartan
-from qaffine.coeffring import Scalar, combo_axpy, scalar_one, weight_diff
+from qaffine.coeffring import Scalar, scalar_one, weight_diff
 from qaffine.nilhecke import is_central, mod_J
 from qaffine.peterson import (
     BudgetError,
@@ -40,6 +42,24 @@ from qaffine.weyl import (
 
 def one(rs):
     return scalar_one(rs)
+
+
+def test_sum_translations_counts_stabilizers():
+    # sum_w t_{w lam} has coefficient |Stab_W(lam)| at each point of the orbit
+    singular = 0
+    for lbl in ["A1", "A2", "B2", "G2"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        zero = rs.zero_coroot()
+        assert sum_translations(rs, zero) == {translation(rs, zero): Scalar.const(len(W), rs.rank)}
+        for lam in product(range(-2, 3), repeat=rs.rank):
+            stab = sum(1 for w in W if w.act_coroot(lam) == lam)
+            orbit = {w.act_coroot(lam) for w in W}
+            assert stab * len(orbit) == len(W)
+            want = {translation(rs, mu): Scalar.const(stab, rs.rank) for mu in orbit}
+            assert sum_translations(rs, lam) == want
+            singular += 1 < stab < len(W)
+    assert singular
 
 
 def test_b_op_three_terms_a1():

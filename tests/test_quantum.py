@@ -4,8 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import combo_axpy
 from qaffine import cartan, quantum
-from qaffine.coeffring import Scalar, combo_axpy, scalar_one
+from qaffine.coeffring import Scalar, scalar_one
 from qaffine.quantum import (
     QSchubertPoly,
     chevalley,
@@ -201,8 +202,6 @@ def test_general_product_bilinear():
     b = qh_basis(rs, s(rs, 1), (1, 0))
     ab = product(rs, a, b)
     expect = {}
-    from qaffine.coeffring import combo_axpy
-
     for (w, q), c in product_basis(rs, s(rs, 0), s(rs, 1)).items():
         combo_axpy(expect, (w, (q[0] + 1, q[1])), c)
     assert ab == expect
