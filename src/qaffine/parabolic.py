@@ -447,6 +447,8 @@ def strange_duality(pd: ParabolicData, cls: dict) -> dict:
     wp = pd.longest_wp()
     out: dict = {}
     for (w, q), c in cls.items():
+        if not pd.is_minimal_rep(w):
+            raise ValueError(f"{w!r} does not lie in W^P")
         img = pd.pi_finite(wp * w)
         q2 = tuple(-x - delta_count(pd, w) for x in q)
         packed_axpy(out, (img, q2), c.packed, 1)

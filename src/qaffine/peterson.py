@@ -6,7 +6,8 @@ over a Weyl-orbit of translations produces central elements, from which
 the affine Schubert classes, their products, and the isomorphism onto the
 localized quantum ring are computed.  ``B``, ``C`` and their twisted forms
 are rules (a diagonal and weighted near or far cocovers) over one kernel,
-which accumulates on raw packed dicts and settles once.
+which accumulates on raw packed dicts and settles once.  The b-elements of a
+root system share one cached prefix trie, and each is certified central once.
 """
 
 from dataclasses import dataclass
@@ -95,11 +96,6 @@ def twisted_c(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebra
     return _bruhat_operator(rs, f, rule)
 
 
-def upsilon(f: GroupAlgebraElt) -> NilHeckeElt:
-    """The left S-module identification x -> A_x."""
-    return dict(f)
-
-
 def sum_translations(rs: RootSystem, lam: CorootVec) -> GroupAlgebraElt:
     """sum_{w in W} t_{w lam}."""
     out: dict = {}
@@ -123,18 +119,34 @@ def theta_map(rs: RootSystem, w: WeylElt, lam: CorootVec, sigma: QHClass) -> Gro
 
 
 def b_element(rs: RootSystem, lam: CorootVec, mu_seq) -> NilHeckeElt:
-    """b(lam; mu^1..mu^k) = Upsilon(B^{mu^k} ... B^{mu^1} sum_w t_{w lam}); central."""
+    """b(lam; mu^1..mu^k) = Upsilon(B^{mu^k} ... B^{mu^1} sum_w t_{w lam}); central.
+
+    Upsilon, the left S-module identification x -> A_x, is the identity on
+    the dicts.  The result is cached and shared: callers must not mutate it.
+    """
     x0 = translation(rs, lam)
     if not rs.is_antidominant(lam):
         raise ValueError("lam must be antidominant")
     _require_margin(x0, units=len(mu_seq))
-    f = sum_translations(rs, lam)
-    for mu in mu_seq:
-        f = b_op(rs, mu, f)
-    a = upsilon(f)
+    return _certified_b(rs, tuple(lam), tuple(map(tuple, mu_seq)))
+
+
+@cached("b_certified")
+def _certified_b(rs: RootSystem, lam: CorootVec, mus: tuple) -> NilHeckeElt:
+    """The chain of (lam, mus), certified central once; a failure caches nothing."""
+    a = _b_chain(rs, lam, mus)
     if not is_central(rs, a):
         raise AssertionError("b element failed centrality")
     return a
+
+
+@cached("b_chain")
+def _b_chain(rs: RootSystem, lam: CorootVec, mus: tuple) -> GroupAlgebraElt:
+    """B^{mus[-1]} ... B^{mus[0]} sum_w t_{w lam}: one b_op on the cached parent
+    prefix, so b-elements that share (lam, a prefix) share its chain."""
+    if not mus:
+        return sum_translations(rs, lam)
+    return b_op(rs, mus[-1], _b_chain(rs, lam, mus[:-1]))
 
 
 def j_units_needed(rs: RootSystem, w: WeylElt) -> int:

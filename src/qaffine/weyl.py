@@ -209,11 +209,12 @@ def longest_element(rs: RootSystem) -> WeylElt:
 class AffineElt:
     """Element w t_lam of the affine Weyl group W_af = W x Q^vee."""
 
-    __slots__ = ("w", "t", "_hash")
+    __slots__ = ("w", "t", "_len", "_hash")
 
     def __init__(self, w: WeylElt, t: CorootVec):
         self.w = w
         self.t = t
+        self._len = None
         self._hash = hash((w._hash, t))
 
     def __eq__(self, other):
@@ -285,12 +286,14 @@ def reflection_of_affine(rs: RootSystem, beta: AffineRoot) -> AffineElt:
 
 
 def length(x: AffineElt) -> int:
-    rs = x.rs
-    neg = x.w.neg_set()
-    tot = 0
-    for k, a in enumerate(rs.positive_roots):
-        tot += abs(int(neg[k]) + rs.pair(x.t, a))
-    return tot
+    """sum over R^+ of |chi(w alpha < 0) + <t, alpha>|, memoized on x."""
+    n = x._len
+    if n is None:
+        rs = x.rs
+        neg = x.w.neg_set()
+        t = x.t
+        n = x._len = sum(abs(int(neg[k]) + rs.pair(t, a)) for k, a in enumerate(rs.positive_roots))
+    return n
 
 
 def is_grassmannian(x: AffineElt) -> bool:

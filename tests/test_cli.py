@@ -126,6 +126,7 @@ def test_bad_arguments_exit_2(capsys):
         (["lm-map", "--n", "4", "--j", "0", "--partition", "1"], "j must lie in 1..n-1"),
         (["strange-dual", "--n", "4", "--j", "5", "--w", "s1"], "j must lie in 1..n-1"),
         (["verify", "compare", "--qdeg", "-1"], "qdeg must be at least 0"),
+        (["strange-dual", "--n", "3", "--j", "1", "--w", "s1 s2"], "s1 s2 does not lie in W^P"),
     ],
 )
 def test_malformed_input_exit_2_one_error_line(capsys, argv, needle):
@@ -136,14 +137,14 @@ def test_malformed_input_exit_2_one_error_line(capsys, argv, needle):
     assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0]
 
 
-@pytest.mark.parametrize("suite", ["chevalley", "compare", "operators", "paper-examples", "parabolic",
-                                   "peterson-borel", "positivity", "tilted"])
+@pytest.mark.parametrize("suite", ["chevalley", "compare", "lapointe-morse", "operators", "paper-examples",
+                                   "parabolic", "peterson-borel", "positivity", "tilted"])
 def test_verify_reports_the_same_under_python_O(suite, run_python):
     # every certificate is an explicit raise, so python -O checks as much
     runs = [run_python(*flags, "-m", "qaffine.cli", "verify", suite, check=False) for flags in ([], ["-O"])]
     plain, optimized = runs
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
-    checks = {"chevalley": 610, "compare": 4682, "operators": 375, "paper-examples": 8, "parabolic": 142,
-              "peterson-borel": 204, "positivity": 4951, "tilted": 728}
+    checks = {"chevalley": 610, "compare": 4682, "lapointe-morse": 174, "operators": 375, "paper-examples": 8,
+              "parabolic": 142, "peterson-borel": 204, "positivity": 4951, "tilted": 728}
     assert json.loads(plain.stdout)["checks"] == checks[suite]

@@ -14,7 +14,6 @@ from qaffine.nilhecke import (
     is_central,
     mod_J,
     product,
-    scalar_on_right,
 )
 from qaffine.quantum import schubert_poly
 from qaffine.weyl import (
@@ -299,7 +298,8 @@ def test_is_central_matches_commutator_reference():
     assert seen == {True, False}
 
 
-def test_one_j_class_makes_one_check_per_b_element_plus_one(monkeypatch):
+def test_j_classes_make_one_check_each_plus_one_per_distinct_b_element(monkeypatch):
+    # every b-element a j-class consumes is certified, once per root system
     calls = 0
 
     def counting(rs, a):
@@ -311,11 +311,13 @@ def test_one_j_class_makes_one_check_per_b_element_plus_one(monkeypatch):
     monkeypatch.setattr(peterson, "is_central", counting)
     for lbl, max_len in [("B2", 4), ("G2", 3)]:
         rs = cartan.build(lbl)
-        for w in enumerate_weyl(rs):
-            if w.length() <= max_len:
-                calls = 0
-                peterson.j_class(rs, _jclass_input(rs, w))
-                assert calls == 1 + len(schubert_poly(rs, w).terms), (lbl, w)
+        calls = 0
+        xs = [_jclass_input(rs, w) for w in enumerate_weyl(rs) if w.length() <= max_len]
+        b_keys = {(tuple(l + s for l, s in zip(x.t, qshift)), word)
+                  for x in xs for qshift, word in schubert_poly(rs, x.w).terms}
+        for x in xs:
+            peterson.j_class(rs, x)
+        assert calls == len(xs) + len(b_keys) < len(xs) + sum(len(schubert_poly(rs, x.w).terms) for x in xs), lbl
 
 
 def naive_act_on_homology(rs, a, xi):

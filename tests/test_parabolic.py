@@ -381,6 +381,17 @@ def test_strange_duality_involution_and_ring():
             assert lhs == rhs
 
 
+def test_strange_duality_rejects_keys_outside_WP():
+    rs, pd = gr24()
+    one = scalar_one(rs)
+    reps = set(pd.minimal_reps())
+    outside = [w for w in enumerate_weyl(rs) if w not in reps]
+    assert len(outside) == 18
+    for w in outside:
+        with pytest.raises(ValueError, match=r"does not lie in W\^P$"):
+            strange_duality(pd, {(weyl_identity(rs), (0,)): one, (w, (1,)): one})
+
+
 def _sd_target(pd, w):
     return pd.pi_finite(pd.longest_wp() * w)
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import combo_axpy
-from qaffine import cartan
+from qaffine import cartan, peterson
 from qaffine.coeffring import Scalar, scalar_one, weight_diff
 from qaffine.nilhecke import is_central, mod_J
 from qaffine.peterson import (
@@ -26,9 +26,8 @@ from qaffine.peterson import (
     theta_map,
     twisted_b,
     twisted_c,
-    upsilon,
 )
-from qaffine.quantum import product_basis, qh_basis, specialize
+from qaffine.quantum import product_basis, qh_basis
 from qaffine.weyl import (
     AffineElt,
     affine_simple_reflection,
@@ -180,7 +179,7 @@ def test_centrality_criterion():
             for i in range(2)
         )
         assert agree == expect
-        assert is_central(rs, upsilon(h)) == expect
+        assert is_central(rs, h) == expect
 
 
 def test_b_element_empty_and_singleton():
@@ -208,6 +207,48 @@ def test_b_element_random_central():
             lam = superregular_antidominant(rs, units=k + 1)
             seq = [tuple(rng.randint(-1, 2) for _ in range(rs.rank)) for _ in range(k)]
             b_element(rs, lam, seq)  # asserts centrality internally
+
+
+def _uncached_b(rs, lam, seq):
+    f = sum_translations(rs, lam)
+    for mu in seq:
+        f = b_op(rs, mu, f)
+    return f
+
+
+@pytest.mark.parametrize("lbl", ["A2", "B2", "G2"])
+def test_cached_b_element_matches_uncached_chain(lbl, monkeypatch):
+    rng = random.Random(31)
+    rs = cartan.build(lbl)
+    lam = superregular_antidominant(rs, units=4)
+    stems = [[tuple(rng.randint(-1, 2) for _ in range(rs.rank)) for _ in range(rng.randint(1, 2))] for _ in range(3)]
+    seqs = [[]] + [rng.choice(stems)[:rng.randint(1, 2)] + [rs.fundamental_weight(rng.randrange(rs.rank))
+                                                           for _ in range(rng.randint(0, 1))] for _ in range(10)]
+    calls = 0
+
+    def counting(rs, mu, f):
+        nonlocal calls
+        calls += 1
+        return b_op(rs, mu, f)
+
+    monkeypatch.setattr(peterson, "b_op", counting)
+    got = [b_element(rs, lam, seq) for seq in seqs]
+    # one b_op per distinct non-empty prefix: sequences share their common prefixes
+    assert calls == len({tuple(seq[:k]) for seq in seqs for k in range(1, len(seq) + 1)}) < sum(map(len, seqs))
+    monkeypatch.undo()
+    for seq, b in zip(seqs, got):
+        assert b == _uncached_b(rs, lam, seq), (lbl, seq)
+
+
+def test_failed_b_certificate_is_not_cached(monkeypatch):
+    rs = cartan.build("A2")
+    lam = superregular_antidominant(rs, units=2)
+    seq = [(1, 0), (0, 1)]
+    monkeypatch.setattr(peterson, "is_central", lambda rs, a: False)
+    with pytest.raises(AssertionError, match="b element failed centrality"):
+        b_element(rs, lam, seq)
+    monkeypatch.undo()
+    assert b_element(rs, lam, seq) == _uncached_b(rs, lam, seq)
 
 
 def test_j_class_translation():
@@ -407,8 +448,6 @@ def test_psi_is_ring_isomorphism_general_products():
     # not just divisors: the affine side goes through j_class + the nilHecke
     # action, the quantum side through Chevalley recursion. Exhaustive in A2,
     # exhaustive in B2.
-    from qaffine.quantum import product as qh_product
-
     for lbl in ["A2", "B2"]:
         rs = cartan.build(lbl)
         W = enumerate_weyl(rs)

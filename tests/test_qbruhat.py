@@ -1,10 +1,7 @@
-import random
-
 from qaffine import cartan
 from qaffine.qbruhat import (
     all_shortest_paths,
     build_qbg,
-    endpoint_for_pair,
     path_endpoint,
     tilted_distance,
     tilted_leq,

@@ -32,3 +32,22 @@ def test_traced_layers_resolve():
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (mod, path)
+
+
+def _unused_imports(path):
+    """Names an import statement binds that the module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [f"{path.name}:{node.lineno} {bound}"
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            for bound in [(alias.asname or alias.name).split(".")[0]]
+            if bound not in read]
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 20
+    found = [name for path in paths for name in _unused_imports(path)]
+    assert not found, found

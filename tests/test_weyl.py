@@ -17,7 +17,6 @@ from qaffine.weyl import (
     cocovers,
     cocovers_superregular,
     enumerate_weyl,
-    from_word,
     inversions,
     is_grassmannian,
     is_superregular,
@@ -59,6 +58,28 @@ def test_length_vs_inversions():
         for _ in range(25):
             x = AffineElt(rng.choice(W), tuple(rng.randint(-3, 3) for _ in range(rs.rank)))
             assert len(inversions(x)) == length(x)
+
+
+def _root_sum_length(x):
+    # l(w t_lam) = sum over alpha > 0 of |<lam, alpha> + chi(w alpha < 0)|
+    rs = x.rs
+    return sum(abs(rs.pair(x.t, a) + any(c < 0 for c in x.w.act_root(a))) for a in rs.positive_roots)
+
+
+def test_memoized_length_matches_root_sum():
+    rng = random.Random(17)
+    for lbl in ["A2", "B2", "G2"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        for _ in range(20):
+            x = affine_from_word(rs, [rng.randrange(rs.rank + 1) for _ in range(rng.randint(0, 8))])
+            z = AffineElt(rng.choice(W), tuple(rng.randint(-3, 3) for _ in range(rs.rank)))
+            lam = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+            # memoize x and z before deriving from them, so that a derived
+            # element cannot inherit a stale length unseen
+            assert (length(x), length(z)) == (_root_sum_length(x), _root_sum_length(z))
+            for y in [x * z, z * x, x.inverse(), z.inverse(), x.translate(lam), z.translate(lam)]:
+                assert length(y) == length(y) == _root_sum_length(y), (lbl, y)
 
 
 def test_grassmannian():
