@@ -104,7 +104,10 @@ class ParabolicData:
     @cached("vspecial")
     def v_special(self, comp: tuple, j: int) -> WeylElt:
         """Shortest v in W_{comp} with v omega_j = w_{0,comp} omega_j."""
-        return longest_of(self.rs, comp) * longest_of(self.rs, [k for k in comp if k != j])
+        v = longest_of(self.rs, comp) * longest_of(self.rs, [k for k in comp if k != j])
+        if not self.in_wp(v):
+            raise AssertionError("v_special left W_P")
+        return v
 
     # -- the closed form of pi_P on translations -----------------------------
     def pi_translation_data(self, lam: CorootVec):
@@ -482,6 +485,13 @@ def highest_root_product(pd: ParabolicData, w: WeylElt) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _nonzero_parts(parts) -> list:
+    """The nonzero parts of a partition, which may not be negative."""
+    if any(p < 0 for p in parts):
+        raise ValueError(f"partition parts must be nonnegative, got {min(parts)}")
+    return [p for p in parts if p]
+
+
 def partition_to_affine(rs: RootSystem, parts, n: int) -> AffineElt:
     """The Grassmannian affine element of an (n-1)-bounded partition.
 
@@ -490,7 +500,7 @@ def partition_to_affine(rs: RootSystem, parts, n: int) -> AffineElt:
     """
     if rs.family != "A" or rs.rank != n - 1:
         raise ValueError("partition indexing needs type A_{n-1}")
-    parts = [p for p in parts if p]
+    parts = _nonzero_parts(parts)
     if any(p > n - 1 for p in parts):
         raise ValueError(f"parts must be at most {n - 1}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -512,7 +522,7 @@ def partition_to_wp(pd: ParabolicData, parts) -> WeylElt:
         raise ValueError("needs a type A maximal parabolic")
     n = rs.rank + 1
     j = pd.free_nodes[0] + 1
-    parts = [p for p in parts if p]
+    parts = _nonzero_parts(parts)
     if len(parts) > j or any(p > n - j for p in parts):
         raise ValueError(f"partition must fit in a {j} x {n - j} rectangle")
     word = []
@@ -561,10 +571,13 @@ def lm_map(pd: ParabolicData, xi: dict) -> dict:
 
 @cached("lmpre")
 def _lm_preimage(pd: ParabolicData, x: AffineElt):
-    """The y in W^P with x = theta(y) pi_P(t_lam), or None."""
-    for y in pd.minimal_reps():
-        z = theta_cominuscule(pd, y).inverse() * x
-        v, lam_b, _ = pd.pi_translation_data(z.t)
-        if lam_b == z.t and AffineElt(v, lam_b) == z:
-            return y
-    return None
+    """The y in W^P with x = theta(y) pi_P(t_lam), or None.
+
+    pi_P(t_lam) = v t_{lam_B} with v in W_P, so x.w W_P = theta(y).w W_P, which
+    theta_cominuscule certifies is w_P y W_P: the only candidate is
+    y = pi_P(w_P x.w), and one membership test decides it.
+    """
+    y = pd.pi_finite(pd.longest_wp() * x.w)
+    z = theta_cominuscule(pd, y).inverse() * x
+    v, lam_b, _ = pd.pi_translation_data(z.t)
+    return y if lam_b == z.t and AffineElt(v, lam_b) == z else None

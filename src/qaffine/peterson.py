@@ -35,8 +35,9 @@ from .weyl import (
 GroupAlgebraElt = dict  # AffineElt -> Scalar
 
 
-class BudgetError(RuntimeError):
-    """A superregularity budget was exhausted."""
+class BudgetError(ValueError):
+    """A superregularity budget was exhausted: the input lacks the margin the
+    computation needs, an argument error."""
 
 
 def _require_margin(x: AffineElt, units: int = 1):

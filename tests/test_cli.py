@@ -127,6 +127,9 @@ def test_bad_arguments_exit_2(capsys):
         (["strange-dual", "--n", "4", "--j", "5", "--w", "s1"], "j must lie in 1..n-1"),
         (["verify", "compare", "--qdeg", "-1"], "qdeg must be at least 0"),
         (["strange-dual", "--n", "3", "--j", "1", "--w", "s1 s2"], "s1 s2 does not lie in W^P"),
+        (["verify", "bogus"], "unknown suite 'bogus'"),
+        (["lm-map", "--n", "4", "--j", "2", "--partition", "3,-1"], "partition parts must be nonnegative, got -1"),
+        (["lm-map", "--n", "4", "--j", "2", "--partition=-2"], "partition parts must be nonnegative, got -2"),
     ],
 )
 def test_malformed_input_exit_2_one_error_line(capsys, argv, needle):
@@ -135,6 +138,20 @@ def test_malformed_input_exit_2_one_error_line(capsys, argv, needle):
     lines = captured.err.strip().splitlines()
     assert code == 2 and captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0]
+
+
+def test_cli_imports_only_the_layers_a_command_uses(run_python):
+    lazy = ["suites", "peterson", "parabolic", "quantum", "nilhecke", "qbruhat", "coeffring"]
+    code = "\n".join([
+        "import sys",
+        "import qaffine.cli",
+        f"print(sorted(m for m in {lazy!r} if 'qaffine.' + m in sys.modules))",
+        "qaffine.cli.main(['qh', 'product', '--type', 'A1', '--u', 's1', '--v', 's1'])",
+        "print('qaffine.quantum' in sys.modules, 'qaffine.suites' in sys.modules)",
+    ])
+    lines = run_python("-c", code).stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "True False"
 
 
 @pytest.mark.parametrize("suite", ["chevalley", "compare", "lapointe-morse", "operators", "paper-examples",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaffine import cartan
+from qaffine import cartan, parabolic
 from qaffine.cartan import solve_rational
 from qaffine.coeffring import Scalar, scalar_one
 from qaffine.nilhecke import act_on_homology
@@ -448,6 +448,9 @@ def test_partition_to_affine():
         partition_to_affine(rs, (7,), 7)
     with pytest.raises(ValueError):
         partition_to_affine(rs, (1, 2), 7)
+    for parts in [(3, -1), (-2,), (0, -1)]:
+        with pytest.raises(ValueError, match="partition parts must be nonnegative"):
+            partition_to_affine(rs, parts, 7)
 
 
 def test_partition_to_wp_examples():
@@ -456,6 +459,9 @@ def test_partition_to_wp_examples():
     assert partition_to_wp(pd, (2, 2, 1, 0)) == from_word(rs, [3, 4, 1, 2, 3])
     with pytest.raises(ValueError):
         partition_to_wp(pd, (4,))  # exceeds n - j = 3
+    for parts in [(2, -1), (-1,), (0, -3)]:
+        with pytest.raises(ValueError, match="partition parts must be nonnegative"):
+            partition_to_wp(pd, parts)
 
 
 def test_bott_and_quotient_generators():
@@ -524,3 +530,69 @@ def test_lm_map_ring_homomorphism_small():
                         if z0:
                             rhs[z] = rhs.get(z, 0) + z0
             assert lhs == {k: v for k, v in rhs.items() if v}
+
+
+def _bounded_partitions(size: int, bound: int):
+    """Partitions of ``size`` with parts at most ``bound``, largest part first."""
+    if size == 0:
+        yield ()
+        return
+    for first in range(min(size, bound), 0, -1):
+        for rest in _bounded_partitions(size - first, first):
+            yield (first, *rest)
+
+
+def _lm_preimage_scan(pd, x):
+    """Reference: try every y in W^P against x = theta(y) pi_P(t_lam)."""
+    for y in pd.minimal_reps():
+        z = theta_cominuscule(pd, y).inverse() * x
+        v, lam_b, _ = pd.pi_translation_data(z.t)
+        if lam_b == z.t and AffineElt(v, lam_b) == z:
+            return y
+    return None
+
+
+def test_lm_preimage_matches_scan_reference():
+    images = {"zero": 0, "nonzero": 0}
+    for n in range(3, 7):
+        rs = cartan.build(f"A{n - 1}")
+        for j in range(1, n):
+            pd = build_parabolic(rs, [k for k in range(n - 1) if k != j - 1])
+            for size in range(7):
+                for parts in _bounded_partitions(size, n - 1):
+                    x = partition_to_affine(rs, parts, n)
+                    want = _lm_preimage_scan(pd, x)
+                    assert parabolic._lm_preimage(pd, x) == want, (n, j, parts)
+                    images["zero" if want is None else "nonzero"] += 1
+    assert images["zero"] and images["nonzero"]
+
+
+def test_lm_map_zero_image_builds_one_theta(monkeypatch):
+    calls = []
+    real = parabolic.theta_cominuscule
+
+    def counting(pd, y):
+        calls.append(y)
+        return real(pd, y)
+
+    monkeypatch.setattr(parabolic, "theta_cominuscule", counting)
+    rs = cartan.build("A4")
+    pd = build_parabolic(rs, [0, 2, 3])  # Gr(2, 5)
+    assert lm_map(pd, {partition_to_affine(rs, (3,), 5): 1}) == {}  # a part exceeding j is killed
+    assert len(calls) <= 1
+
+
+def test_v_special_certificate_survives_python_O(run_python):
+    # explicit raise, so python -O cannot strip it
+    code = "\n".join([
+        "import sys",
+        "from qaffine import cartan, parabolic",
+        "pd = parabolic.build_parabolic(cartan.build('A3'), [1, 2])",
+        "pd.in_wp = lambda v: False",
+        "try:",
+        "    pd.v_special((1, 2), 1)",
+        "except AssertionError as e:",
+        "    print(sys.flags.optimize, e)",
+    ])
+    out = run_python("-O", "-c", code).stdout
+    assert out.strip() == "1 v_special left W_P"
