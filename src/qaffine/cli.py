@@ -26,6 +26,14 @@ from .weyl import (
 )
 
 
+def _integer(tok: str, text: str) -> int:
+    """int(tok), or a ValueError naming the token and the text it came from."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{tok!r} in {text!r} is not an integer") from None
+
+
 def _parse_word(text: str):
     text = text.strip()
     if not text or text == "id":
@@ -34,12 +42,12 @@ def _parse_word(text: str):
     for tok in text.replace(",", " ").split():
         if tok[0] in "rs":
             tok = tok[1:]
-        out.append(int(tok))
+        out.append(_integer(tok, text))
     return tuple(out)
 
 
 def _parse_coroot(text: str, size: int | None = None):
-    vec = tuple(int(t) for t in text.split(","))
+    vec = tuple(_integer(t, text) for t in text.split(","))
     if size is not None and len(vec) != size:
         raise ValueError(f"{text!r} has {len(vec)} coordinates, expected {size}")
     return vec

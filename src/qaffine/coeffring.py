@@ -285,6 +285,13 @@ def root_scalar(rs: RootSystem, v) -> Scalar:
 
 def weight_diff(rs: RootSystem, mu: WeightVec, w: WeylElt) -> Scalar:
     """mu - w.mu as a Scalar (the difference always lies in Q)."""
+    return _weight_diff(rs, tuple(mu), w)
+
+
+@cached("weight-diff")
+def _weight_diff(rs: RootSystem, mu: WeightVec, w: WeylElt) -> Scalar:
+    # shared, as the Bruhat operators read one diagonal per (mu, w v) many
+    # times; mu is a tuple here, so a list weight is accepted by the caller
     wmu = w.act_weight(mu)
     d = tuple(a - b for a, b in zip(mu, wmu))
     return root_scalar(rs, rs.root_lattice_check(d))

@@ -8,16 +8,20 @@ over the element that needs no weight arithmetic; ``commutator_with_weight``
 is the general-weight commutator it agrees with.
 """
 
-from .cartan import RootSystem, WeightVec, cached
+from .cartan import CorootVec, RootSystem, WeightVec, cached
 from .coeffring import Scalar, from_raw, omega_diff, packed_addmul, packed_axpy, settle, weight_diff
 from .weyl import (
     AffineElt,
+    WeylElt,
+    chamber_decompose,
     cocovers,
-    far_covers,
+    cover_rows,
     is_grassmannian,
     length,
-    near_covers,
+    root_pairings,
+    row_translations,
     serialize,
+    shared_element,
     superregular_margin,
 )
 
@@ -32,14 +36,24 @@ def basis_product(x: AffineElt, y: AffineElt, one: Scalar) -> NilHeckeElt:
 
 
 @cached("nh_cocovers")
-def _cocover_pairs(rs: RootSystem, x: AffineElt):
-    """Pairs (target, finite coroot of the positive reflection root)."""
+def _raw_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
+    """Triples (y.w.perm, y.t, d) over the cocovers y = x r_beta of x = w t_t,
+    with d = -beta^vee: the raw rows of the chamber pair of x when it is
+    superregular (there the finite part of -beta is v alpha, so d = v alpha^vee),
+    else the cover enumeration."""
+    x = AffineElt(w, t)
     if superregular_margin(x) < 1:
-        return tuple((c.target, rs.coroot_of(c.reflection_root.finite)) for c in cocovers(x))
-    # a superregular cocover's positive reflection root has finite part -v alpha,
-    # so its coroot is v(-alpha^vee), read from the coroot table
-    v, _wv, near = near_covers(x)
-    return tuple((y, v.act_coroot(tuple(-c for c in avee))) for _a, avee, y, _case in near + far_covers(x)[1])
+        return tuple((c.target.w.perm, c.target.t, tuple(-e for e in rs.coroot_of(c.reflection_root.finite)))
+                     for c in cocovers(x))
+    v, lam = chamber_decompose(rs, t)
+    _, near, far = cover_rows(rs, w, v)
+    rows = near + far
+    return tuple((wr.perm, u, d) for (_a, _avee, wr, d, _case), u in zip(rows, row_translations(x, lam, rows)))
+
+
+def _cocover_pairs(rs: RootSystem, x: AffineElt):
+    """Pairs (y = x r_beta, d = -beta^vee) over the cocovers of x."""
+    return tuple((AffineElt(shared_element(rs, p), u), d) for p, u, d in _raw_cocovers(rs, x.w, x.t))
 
 
 def commute_scalar(rs: RootSystem, x: AffineElt, mu: WeightVec) -> NilHeckeElt:
@@ -53,10 +67,10 @@ def commute_scalar(rs: RootSystem, x: AffineElt, mu: WeightVec) -> NilHeckeElt:
     diag = Scalar.linear(tuple(int(c) if c.denominator == 1 else c for c in coords))
     # the cocovers of x are distinct and differ from x, so each key is set once
     out: NilHeckeElt = {x: diag} if diag else {}
-    for y, bvee in _cocover_pairs(rs, x):
-        c = rs.pair_weight(bvee, mu)
+    for y, d in _cocover_pairs(rs, x):
+        c = rs.pair_weight(d, mu)
         if c:
-            out[y] = Scalar.const(c, rs.rank)
+            out[y] = Scalar.const(-c, rs.rank)
     return out
 
 
@@ -67,10 +81,10 @@ def commutator_with_weight(rs: RootSystem, a: NilHeckeElt, mu: WeightVec) -> Nil
         t = cx.packed
         # (mu - x.mu) A_x part
         packed_addmul(out, x, t, weight_diff(rs, mu, x.w).packed)
-        for y, bvee in _cocover_pairs(rs, x):
-            c = rs.pair_weight(bvee, mu)
+        for y, d in _cocover_pairs(rs, x):
+            c = rs.pair_weight(d, mu)
             if c:
-                packed_axpy(out, y, t, -c)
+                packed_axpy(out, y, t, c)
     return from_raw(rs, settle(out))
 
 
@@ -81,21 +95,22 @@ def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
     in one raw class keyed by (i, w.perm, t), the parts of y = w t_lam, so
     that equal elements meet as equal tuples.  A term c A_x gives
     c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the finite
-    part, and -c <beta^vee, omega_i> = -c beta^vee[i] at each cocover y.  a
-    is central iff every commutator settles to 0.
+    part, and -c <beta^vee, omega_i> = c d[i] at each cocover y, read raw
+    from ``_raw_cocovers`` with no AffineElt built.  a is central iff every
+    commutator settles to 0.
     """
     acc: dict = {}
     for x, cx in a.items():
-        pairs = [(y.w.perm, y.t, bvee) for y, bvee in _cocover_pairs(rs, x)]
+        pairs = _raw_cocovers(rs, x.w, x.t)
         t = cx.packed
         xp, xt = x.w.perm, x.t
         for i in range(rs.rank):
             d = omega_diff(rs, i, x.w).packed
             if d:
                 packed_addmul(acc, (i, xp, xt), t, d)
-            for yp, yt, bvee in pairs:
-                if bvee[i]:
-                    packed_axpy(acc, (i, yp, yt), t, -bvee[i])
+            for yp, yt, dy in pairs:
+                if dy[i]:
+                    packed_axpy(acc, (i, yp, yt), t, dy[i])
     return not settle(acc)
 
 
@@ -140,16 +155,34 @@ def mod_J(a: NilHeckeElt) -> NilHeckeElt:
 
 
 def act_on_homology(rs: RootSystem, a: NilHeckeElt, xi: dict) -> dict:
-    """A_y . xi_z = xi_{yz} when length-additive and yz Grassmannian, else 0."""
+    """A_y . xi_z = xi_{yz} when length-additive and yz Grassmannian, else 0.
+
+    yz = (y.w z.w) t_{z.w^{-1} y.t + z.t} is tested for Grassmannian from raw
+    data before it is built: at each simple root alpha_s its translation pairs
+    to <y.t, z.w alpha_s> + <z.t, alpha_s>, both read from ``root_pairings``,
+    and y.w z.w descends at s iff y.w sends the root z.w alpha_s negative.
+    """
     out: dict = {}
-    zs = [(z, cz.packed, length(z)) for z, cz in xi.items()]
+    npos = len(rs.positive_roots)
+    simple = rs.simple_index
+    zs = []
+    for z, cz in xi.items():
+        zpr = root_pairings(rs, z.t)
+        zs.append((z, cz.packed, length(z), [(z.w.perm[s], zpr[s]) for s in simple]))
     for y, cy in a.items():
         ly = length(y)
         t = cy.packed
-        for z, tz, lz in zs:
-            yz = y * z
-            if is_grassmannian(yz) and ly + lz == length(yz):
-                packed_addmul(out, yz, t, tz)
+        ypr = root_pairings(rs, y.t)
+        yp = y.w.perm
+        for z, tz, lz, zsimple in zs:
+            for k, q in zsimple:
+                p = ypr[k] + q
+                if p > 0 or p == 0 and yp[k] >= npos:
+                    break
+            else:
+                yz = y * z
+                if ly + lz == length(yz):
+                    packed_addmul(out, yz, t, tz)
     return from_raw(rs, settle(out))
 
 

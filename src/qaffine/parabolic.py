@@ -13,7 +13,6 @@ from math import gcd
 
 from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _adjugate, _is_positive_vec, cached
 from .coeffring import from_raw, packed_axpy, settle
-from .peterson import hom_product_basis
 from .weyl import (
     AffineElt,
     WeylElt,
@@ -310,6 +309,10 @@ def quotient_product(pd: ParabolicData, v: WeylElt, u: WeylElt, lam_p=None, mu_p
     Returns a parabolic class ``(w in W^P, q-exponents over I \\ I_P) -> Scalar``;
     inputs carry optional q-cosets (defaults 0).
     """
+    # imported here, so the commands that need only pi_P or the Lapointe-Morse
+    # map do not load the affine route
+    from .peterson import hom_product_basis
+
     rs = pd.rs
     nfree = len(pd.free_nodes)
     lam_p = tuple(lam_p) if lam_p is not None else (0,) * nfree

@@ -285,25 +285,33 @@ def reflection_of_affine(rs: RootSystem, beta: AffineRoot) -> AffineElt:
     return AffineElt(reflection_of(rs, beta.finite), tuple(beta.level * c for c in avee))
 
 
+@cached("tpair")
+def root_pairings(rs: RootSystem, t: CorootVec) -> tuple[int, ...]:
+    """<t, alpha> for every root alpha in rs.roots order: the positive roots,
+    then their negatives, so index k of a root permutation reads directly."""
+    rows = rs.pairing_rows
+    pr = tuple(sum(map(mul, t, rows[a])) for a in rs.positive_roots)
+    return pr + tuple(-p for p in pr)
+
+
 def length(x: AffineElt) -> int:
     """sum over R^+ of |chi(w alpha < 0) + <t, alpha>|, memoized on x."""
     n = x._len
     if n is None:
-        rs = x.rs
-        neg = x.w.neg_set()
-        t = x.t
-        n = x._len = sum(abs(int(neg[k]) + rs.pair(t, a)) for k, a in enumerate(rs.positive_roots))
+        # map stops after the positive roots, where neg_set ends
+        n = x._len = sum(map(abs, map(add, x.w.neg_set(), root_pairings(x.rs, x.t))))
     return n
 
 
 def is_grassmannian(x: AffineElt) -> bool:
     """Minimum length in the coset x W: antidominant translation, minimal w."""
     rs = x.rs
-    for i in range(rs.rank):
-        p = rs.pair(x.t, rs.simple_root(i))
-        if p > 0:
-            return False
-        if p == 0 and x.w.descends(i):
+    pr = root_pairings(rs, x.t)
+    perm = x.w.perm
+    npos = len(rs.positive_roots)
+    for s in rs.simple_index:
+        p = pr[s]
+        if p > 0 or p == 0 and perm[s] >= npos:
             return False
     return True
 
@@ -358,24 +366,26 @@ def cocovers(x: AffineElt) -> list[CoverRecord]:
 
 @cached("chamber")
 def chamber_decompose(rs: RootSystem, tau: CorootVec) -> tuple[WeylElt, CorootVec]:
-    """Write tau = v . lam with lam antidominant; v is minimal such."""
+    """Write tau = v . lam with lam antidominant; v is minimal such.
+
+    Walks v up by simple reflections while some <v^{-1} tau, alpha_i> =
+    <tau, v alpha_i> is positive, reading the pairings of tau alone.
+    """
+    pr = root_pairings(rs, tau)
     v = weyl_identity(rs)
-    lam = tuple(tau)
     while True:
-        for i in range(rs.rank):
-            if rs.pair(lam, rs.simple_root(i)) > 0:
-                lam = simple_reflection(rs, i).act_coroot(lam)
+        for i, s in enumerate(rs.simple_index):
+            if pr[v.perm[s]] > 0:
                 v = v * simple_reflection(rs, i)
                 break
         else:
-            return v, lam
+            return v, v.inverse().act_coroot(tau)
 
 
 def superregular_margin(x: AffineElt) -> int:
     """min_{alpha > 0} |<lam, alpha>| minus the bound 2|W| + 2."""
     rs = x.rs
-    m = min(abs(rs.pair(x.t, a)) for a in rs.positive_roots)
-    return m - (2 * rs.weyl_order + 2)
+    return min(map(abs, root_pairings(rs, x.t))) - (2 * rs.weyl_order + 2)
 
 
 def is_superregular(x: AffineElt, slack: int = 0) -> bool:
@@ -433,11 +443,49 @@ def cover_table(rs: RootSystem, w: WeylElt):
     return tuple(ups), tuple(quantums), tuple(downs), tuple(qups)
 
 
-@cached("wr")
-def _times_reflection(rs: RootSystem, w: WeylElt, beta: RootVec) -> WeylElt:
-    # w r_beta, the finite part of a superregular cocover of w t_lam; kept, so
-    # the cocovers of many elements share at most |W| |R| of them
-    return w * reflection_of(rs, beta)
+@cached("coverrows")
+def cover_rows(rs: RootSystem, w: WeylElt, v: WeylElt):
+    """The superregular cocovers of every w t_{v lam}, lam antidominant, as
+    rows shared by all depths: (w v, near rows, far rows).
+
+    A row is (alpha, alpha^vee, w r_{v alpha}, d = v alpha^vee, case).  The near
+    rows (cases 1, 2) are the out-edges of the quantum Bruhat graph at w v, the
+    far rows (cases 3, 4) its in-edges at v; the translation of a row's
+    cocover is read off by ``row_translations``.
+    """
+    wv = w * v
+    ups, quantums, _, _ = cover_table(rs, wv)
+    _, _, downs, qups = cover_table(rs, v)
+    near, far = [], []
+    for case, (rows, out) in enumerate(((ups, near), (quantums, near), (downs, far), (qups, far)), 1):
+        for a, avee, _ in rows:
+            wr = w * reflection_of(rs, v.act_root(a))
+            out.append((a, avee, shared_element(rs, wr.perm), v.act_coroot(avee), case))
+    return wv, tuple(near), tuple(far)
+
+
+@cached("shared")
+def shared_element(rs: RootSystem, perm: tuple[int, ...]) -> WeylElt:
+    """The one WeylElt kept per permutation for cover rows and the cocovers
+    built from them: the rows of |W|^2 chamber pairs name only |W| finite
+    parts."""
+    return WeylElt(rs, perm)
+
+
+def row_translations(x: AffineElt, lam: CorootVec, rows) -> list:
+    """The translation of each row's cocover of x = w t_{v lam}: t, t + d,
+    t - p d and t - (p + 1) d in cases 1-4, with p = <lam, alpha>."""
+    t = x.t
+    pl = root_pairings(x.rs, lam)
+    index = x.rs.root_index
+    out = []
+    for a, _avee, _wr, d, case in rows:
+        if case == 1:
+            out.append(t)
+        else:
+            m = -1 if case == 2 else pl[index[a]] + case - 3
+            out.append(tuple(c - m * e for c, e in zip(t, d)))
+    return out
 
 
 def near_covers(x: AffineElt):
@@ -446,16 +494,10 @@ def near_covers(x: AffineElt):
     Returns (v, w v, [(alpha, alpha^vee, y, case) ...]).
     """
     rs = x.rs
-    v, _lam = chamber_decompose(rs, x.t)
-    wv = x.w * v
-    ups, quantums, _, _ = cover_table(rs, wv)
-    out = []
-    for a, avee, _ in ups:  # case 1: translation unchanged
-        out.append((a, avee, AffineElt(_times_reflection(rs, x.w, v.act_root(a)), x.t), 1))
-    for a, avee, _ in quantums:  # case 2: lam gains alpha^vee
-        t2 = tuple(p + q for p, q in zip(x.t, v.act_coroot(avee)))
-        out.append((a, avee, AffineElt(_times_reflection(rs, x.w, v.act_root(a)), t2), 2))
-    return v, wv, out
+    v, lam = chamber_decompose(rs, x.t)
+    wv, near, _ = cover_rows(rs, x.w, v)
+    return v, wv, [(a, avee, AffineElt(wr, u), case)
+                   for (a, avee, wr, _d, case), u in zip(near, row_translations(x, lam, near))]
 
 
 def far_covers(x: AffineElt):
@@ -465,14 +507,9 @@ def far_covers(x: AffineElt):
     """
     rs = x.rs
     v, lam = chamber_decompose(rs, x.t)
-    _, _, downs, qups = cover_table(rs, v)
-    out = []
-    for a, avee, vr in downs:  # case 3
-        out.append((a, avee, AffineElt(_times_reflection(rs, x.w, v.act_root(a)), vr.act_coroot(lam)), 3))
-    for a, avee, vr in qups:  # case 4
-        lam2 = tuple(p + q for p, q in zip(lam, avee))
-        out.append((a, avee, AffineElt(_times_reflection(rs, x.w, v.act_root(a)), vr.act_coroot(lam2)), 4))
-    return v, out
+    _, _, far = cover_rows(rs, x.w, v)
+    return v, [(a, avee, AffineElt(wr, u), case)
+               for (a, avee, wr, _d, case), u in zip(far, row_translations(x, lam, far))]
 
 
 def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:

@@ -130,6 +130,11 @@ def test_bad_arguments_exit_2(capsys):
         (["verify", "bogus"], "unknown suite 'bogus'"),
         (["lm-map", "--n", "4", "--j", "2", "--partition", "3,-1"], "partition parts must be nonnegative, got -1"),
         (["lm-map", "--n", "4", "--j", "2", "--partition=-2"], "partition parts must be nonnegative, got -2"),
+        (["pi-p", "--type", "A3", "--ip", "2", "--coroot", "x,0,0"], "'x' in 'x,0,0' is not an integer"),
+        (["pw-lift", "--type", "A3", "--ip", "2", "--coset", "x"], "'x' in 'x' is not an integer"),
+        (["gr", "j-class", "--type", "A1", "--w", "s1", "--t", "x"], "'x' in 'x' is not an integer"),
+        (["lm-map", "--n", "4", "--j", "2", "--partition", "2,x"], "'x' in '2,x' is not an integer"),
+        (["weyl", "length", "--type", "A2", "--word", "s1 sx"], "'x' in 's1 sx' is not an integer"),
     ],
 )
 def test_malformed_input_exit_2_one_error_line(capsys, argv, needle):
@@ -146,11 +151,15 @@ def test_cli_imports_only_the_layers_a_command_uses(run_python):
         "import sys",
         "import qaffine.cli",
         f"print(sorted(m for m in {lazy!r} if 'qaffine.' + m in sys.modules))",
+        "qaffine.cli.main(['pi-p', '--type', 'A3', '--ip', '2', '--coroot', '1,0,0'])",
+        f"print(sorted(m for m in {lazy!r} if 'qaffine.' + m in sys.modules))",
         "qaffine.cli.main(['qh', 'product', '--type', 'A1', '--u', 's1', '--v', 's1'])",
         "print('qaffine.quantum' in sys.modules, 'qaffine.suites' in sys.modules)",
     ])
     lines = run_python("-c", code).stdout.splitlines()
     assert lines[0] == "[]"
+    # pi_P needs the parabolic layer and its coefficient ring, not the affine route
+    assert lines[2] == "['coeffring', 'parabolic']"
     assert lines[-1] == "True False"
 
 

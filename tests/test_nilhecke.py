@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -223,8 +224,8 @@ def test_commutator_with_weight_integral():
 
 
 def test_superregular_cocover_pairs_match_enumeration():
-    # the superregular branch reads near/far cover rows with coroot -v alpha^vee;
-    # the enumeration gives the coroot of the positive reflection root directly
+    # the superregular branch reads near/far cover rows with d = v alpha^vee;
+    # the enumeration gives the coroot of the positive reflection root, -d
     rng = random.Random(31)
     for lbl in ["A2", "B2", "G2"]:
         rs = cartan.build(lbl)
@@ -232,7 +233,7 @@ def test_superregular_cocover_pairs_match_enumeration():
         lam = superregular_antidominant(rs, units=1)
         for _ in range(30):
             x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
-            want = {(c.target, rs.coroot_of(c.reflection_root.finite)) for c in cocovers(x)}
+            want = {(c.target, tuple(-e for e in rs.coroot_of(c.reflection_root.finite))) for c in cocovers(x)}
             assert set(nilhecke._cocover_pairs(rs, x)) == want, (lbl, x)
 
 
@@ -332,28 +333,40 @@ def naive_act_on_homology(rs, a, xi):
 
 
 def test_act_on_homology_matches_naive_reference():
+    # act_on_homology decides "yz Grassmannian" from raw data before building
+    # yz; z with nontrivial finite part makes z.w alpha_s negative, and the
+    # rejections must include both a positive pairing and a zero pairing with
+    # a descent
     rng = random.Random(43)
-    for lbl in ["A2", "B2"]:
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        seen = {"grass only": 0, "additive only": 0, "positive": 0, "zero with descent": 0, "z.w alpha_s < 0": 0}
         rs = cartan.build(lbl)
         W = enumerate_weyl(rs)
-        boxes = [(p, q) for p in range(-3, 2) for q in range(-3, 2)]
+        rank = rs.rank
+        boxes = list(itertools.product(range(-3, 2), repeat=rank))
         by_len = {}
         for x in (AffineElt(w, t) for w in W for t in boxes):
             if is_grassmannian(x):
                 by_len.setdefault(length(x), []).append(x)
-        grass_only = additive_only = 0
-        for _ in range(40):
+        for _ in range(40 if rank == 2 else 15):
             zs = [rng.choice(by_len[l]) for l in rng.sample(sorted(by_len), 4)]
-            xi = {z: Scalar({(rng.randint(0, 1), rng.randint(0, 1)): rng.choice((1, -2, 3))}) for z in zs}
+            zs.append(rng.choice([z for zl in by_len.values() for z in zl if not z.w.is_identity()]))
+            xi = {z: Scalar({tuple(rng.randint(0, 1) for _ in range(rank)): rng.choice((1, -2, 3))}) for z in zs}
             a = {}
             for _ in range(rng.randint(2, 6)):
                 y = AffineElt(rng.choice(W), rng.choice(boxes))
-                combo_axpy(a, y, Scalar({(rng.randint(0, 1), 0): rng.choice((1, -1, 2))}))
+                combo_axpy(a, y, Scalar({(rng.randint(0, 1),) + (0,) * (rank - 1): rng.choice((1, -1, 2))}))
             assert act_on_homology(rs, a, xi) == naive_act_on_homology(rs, a, xi)
             for y in a:
                 for z in xi:
-                    additive = length(y) + length(z) == length(y * z)
-                    grassmannian = is_grassmannian(y * z)
-                    grass_only += grassmannian and not additive
-                    additive_only += additive and not grassmannian
-        assert grass_only and additive_only
+                    yz = y * z
+                    additive = length(y) + length(z) == length(yz)
+                    grassmannian = is_grassmannian(yz)
+                    seen["grass only"] += grassmannian and not additive
+                    seen["additive only"] += additive and not grassmannian
+                    simple = [(rs.pair_root(yz.t, rs.simple_root(i)), yz.w.descends(i)) for i in range(rank)]
+                    positive = any(p > 0 for p, _ in simple)
+                    seen["positive"] += positive
+                    seen["zero with descent"] += not positive and any(p == 0 and d for p, d in simple)
+                    seen["z.w alpha_s < 0"] += any(z.w.descends(i) for i in range(rank))
+        assert all(seen.values()), (lbl, seen)

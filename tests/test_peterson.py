@@ -79,6 +79,16 @@ def test_b_op_three_terms_a1():
     assert got[shifted] == one(rs)
 
 
+def test_bruhat_operators_accept_a_list_weight():
+    # the diagonals are cached per weight; a list weight is read as its tuple
+    rs = cartan.build("A2")
+    W = enumerate_weyl(rs)
+    lam = superregular_antidominant(rs, units=2)
+    f = {AffineElt(w, W[3].act_coroot(lam)): one(rs) for w in W[:3]}
+    for op in (b_op, c_op, twisted_b, twisted_c):
+        assert op(rs, [1, -1], f) == op(rs, (1, -1), f)
+
+
 def test_b_op_budget():
     rs = cartan.build("A2")
     x = translation(rs, (-1, -1))

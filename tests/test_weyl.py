@@ -16,18 +16,23 @@ from qaffine.weyl import (
     chamber_decompose,
     cocovers,
     cocovers_superregular,
+    cover_rows,
     enumerate_weyl,
+    far_covers,
     inversions,
     is_grassmannian,
     is_superregular,
     length,
     length_regular,
     longest_element,
+    near_covers,
     reduced_word,
     reflection_of,
     reflection_of_affine,
+    root_pairings,
     simple_reflection,
     superregular_antidominant,
+    superregular_margin,
     translation,
     weyl_identity,
 )
@@ -409,6 +414,74 @@ def test_chamber_decompose():
         v, lam = chamber_decompose(rs, tau)
         assert rs.is_antidominant(lam)
         assert v.act_coroot(lam) == tau
+
+
+def test_root_pairings_match_per_root_formulas():
+    # length, is_grassmannian, superregular_margin and chamber_decompose read one
+    # cached tuple of pairings; here each is recomputed root by root from the
+    # Cartan form and the action on roots
+    rng = random.Random(53)
+    seen = {"zero": 0, "mixed": 0, "margin": 0, "grassmannian": 0, "not grassmannian": 0}
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        for _ in range(80):
+            kind = rng.randrange(3)
+            if kind == 0:
+                t = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+            elif kind == 1:  # on a wall: orthogonal roots pair to 0
+                t = tuple(rng.randint(-3, 3) * c for c in rs.coroot_of(rng.choice(rs.positive_roots)))
+            else:
+                t = rng.choice(W).act_coroot(superregular_antidominant(rs, units=rng.randint(0, 2)))
+            x = AffineElt(rng.choice(W), t)
+            pairs = [rs.pair_root(t, a) for a in rs.positive_roots]
+            negative = [any(c < 0 for c in x.w.act_root(a)) for a in rs.positive_roots]
+            assert root_pairings(rs, t) == tuple(rs.pair_root(t, a) for a in rs.roots)
+            assert length(x) == sum(abs(p + n) for p, n in zip(pairs, negative))
+            simple = [(rs.pair_root(t, rs.simple_root(i)), any(c < 0 for c in x.w.act_root(rs.simple_root(i))))
+                      for i in range(rs.rank)]
+            assert is_grassmannian(x) == all(p < 0 or p == 0 and not neg for p, neg in simple)
+            assert superregular_margin(x) == min(map(abs, pairs)) - (2 * rs.weyl_order + 2)
+            v, lam = chamber_decompose(rs, t)
+            assert v.act_coroot(lam) == t and rs.is_antidominant(lam)
+            assert v.length() == sum(p > 0 for p in pairs)  # v is minimal
+            seen["zero"] += 0 in pairs
+            seen["mixed"] += min(pairs) < 0 < max(pairs)
+            seen["margin"] += superregular_margin(x) >= 0
+            seen["grassmannian" if is_grassmannian(x) else "not grassmannian"] += 1
+    assert all(seen.values()), seen
+
+
+def test_cover_rows_are_shared_across_depths():
+    # the superregular cocovers of w t_{v lam} come from one cached row table
+    # per (w, v); lam only moves the translations
+    rng = random.Random(59)
+    cases = set()
+    for lbl in ["A3", "G2"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        depths = [superregular_antidominant(rs, units=k) for k in (1, 3, 6)]
+        elements = {}  # perm -> the row element, across chamber pairs
+        for _ in range(8):
+            w, v = rng.choice(W), rng.choice(W)
+            finite_parts = []
+            for lam in depths:
+                x = AffineElt(w, v.act_coroot(lam))
+                assert chamber_decompose(rs, x.t) == (v, lam)
+                near, far = near_covers(x)[2], far_covers(x)[1]
+                got = [y for _a, _avee, y, _case in near + far]
+                assert len(set(got)) == len(got)
+                assert set(got) == {c.target for c in cocovers(x)}
+                cases |= {case for *_, case in near + far}
+                finite_parts.append([y.w for y in got])
+                assert [k for k in rs._cache if k[0] == "coverrows" and k[1:] == (w, v)] == [("coverrows", w, v)]
+            # every depth reads the finite parts of the same row objects
+            _wv, near_rows, far_rows = cover_rows(rs, w, v)
+            shared = [id(row[2]) for row in near_rows + far_rows]
+            assert all(list(map(id, parts)) == shared for parts in finite_parts)
+            for row in near_rows + far_rows:
+                assert elements.setdefault(row[2].perm, row[2]) is row[2]
+    assert cases == {1, 2, 3, 4}
 
 
 def test_affine_action_eq2():
