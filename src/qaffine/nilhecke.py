@@ -13,16 +13,13 @@ from .coeffring import Scalar, from_raw, omega_diff, packed_addmul, packed_axpy,
 from .weyl import (
     AffineElt,
     WeylElt,
-    chamber_decompose,
     cocovers,
-    cover_rows,
     is_grassmannian,
+    is_superregular,
     length,
     root_pairings,
-    row_translations,
     serialize,
-    shared_element,
-    superregular_margin,
+    superregular_cocovers,
 )
 
 NilHeckeElt = dict  # AffineElt -> Scalar
@@ -36,24 +33,17 @@ def basis_product(x: AffineElt, y: AffineElt, one: Scalar) -> NilHeckeElt:
 
 
 @cached("nh_cocovers")
-def _raw_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
-    """Triples (y.w.perm, y.t, d) over the cocovers y = x r_beta of x = w t_t,
-    with d = -beta^vee: the raw rows of the chamber pair of x when it is
-    superregular (there the finite part of -beta is v alpha, so d = v alpha^vee),
-    else the cover enumeration."""
+def _cover_entries(rs: RootSystem, w: WeylElt, t: CorootVec):
+    """Entries (y.w, y.t, d, row) over the cocovers y = x r_beta of x = w t_t,
+    with d = -beta^vee: those of ``superregular_cocovers`` when x is
+    superregular (there -beta = v alpha + n delta, so d = v alpha^vee), else
+    the cover enumeration with row None."""
     x = AffineElt(w, t)
-    if superregular_margin(x) < 1:
-        return tuple((c.target.w.perm, c.target.t, tuple(-e for e in rs.coroot_of(c.reflection_root.finite)))
-                     for c in cocovers(x))
-    v, lam = chamber_decompose(rs, t)
-    _, near, far = cover_rows(rs, w, v)
-    rows = near + far
-    return tuple((wr.perm, u, d) for (_a, _avee, wr, d, _case), u in zip(rows, row_translations(x, lam, rows)))
-
-
-def _cocover_pairs(rs: RootSystem, x: AffineElt):
-    """Pairs (y = x r_beta, d = -beta^vee) over the cocovers of x."""
-    return tuple((AffineElt(shared_element(rs, p), u), d) for p, u, d in _raw_cocovers(rs, x.w, x.t))
+    if is_superregular(x):
+        _v, _wv, near, far = superregular_cocovers(rs, w, t)
+        return near + far
+    return tuple((c.target.w, c.target.t, tuple(-e for e in rs.coroot_of(c.reflection_root.finite)), None)
+                 for c in cocovers(x))
 
 
 def commute_scalar(rs: RootSystem, x: AffineElt, mu: WeightVec) -> NilHeckeElt:
@@ -67,10 +57,10 @@ def commute_scalar(rs: RootSystem, x: AffineElt, mu: WeightVec) -> NilHeckeElt:
     diag = Scalar.linear(tuple(int(c) if c.denominator == 1 else c for c in coords))
     # the cocovers of x are distinct and differ from x, so each key is set once
     out: NilHeckeElt = {x: diag} if diag else {}
-    for y, d in _cocover_pairs(rs, x):
+    for yw, yt, d, _row in _cover_entries(rs, x.w, x.t):
         c = rs.pair_weight(d, mu)
         if c:
-            out[y] = Scalar.const(-c, rs.rank)
+            out[AffineElt(yw, yt)] = Scalar.const(-c, rs.rank)
     return out
 
 
@@ -81,10 +71,10 @@ def commutator_with_weight(rs: RootSystem, a: NilHeckeElt, mu: WeightVec) -> Nil
         t = cx.packed
         # (mu - x.mu) A_x part
         packed_addmul(out, x, t, weight_diff(rs, mu, x.w).packed)
-        for y, d in _cocover_pairs(rs, x):
+        for yw, yt, d, _row in _cover_entries(rs, x.w, x.t):
             c = rs.pair_weight(d, mu)
             if c:
-                packed_axpy(out, y, t, c)
+                packed_axpy(out, AffineElt(yw, yt), t, c)
     return from_raw(rs, settle(out))
 
 
@@ -96,21 +86,22 @@ def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
     that equal elements meet as equal tuples.  A term c A_x gives
     c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the finite
     part, and -c <beta^vee, omega_i> = c d[i] at each cocover y, read raw
-    from ``_raw_cocovers`` with no AffineElt built.  a is central iff every
+    from ``_cover_entries`` with no AffineElt built.  a is central iff every
     commutator settles to 0.
     """
     acc: dict = {}
     for x, cx in a.items():
-        pairs = _raw_cocovers(rs, x.w, x.t)
         t = cx.packed
         xp, xt = x.w.perm, x.t
         for i in range(rs.rank):
             d = omega_diff(rs, i, x.w).packed
             if d:
                 packed_addmul(acc, (i, xp, xt), t, d)
-            for yp, yt, dy in pairs:
-                if dy[i]:
-                    packed_axpy(acc, (i, yp, yt), t, dy[i])
+        for yw, yt, dy, _row in _cover_entries(rs, x.w, x.t):
+            yp = yw.perm
+            for i, di in enumerate(dy):
+                if di:
+                    packed_axpy(acc, (i, yp, yt), t, di)
     return not settle(acc)
 
 

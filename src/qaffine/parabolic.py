@@ -75,6 +75,17 @@ class ParabolicData:
         """The class of lam in Q^vee / Q_P^vee, as coordinates on I \\ I_P."""
         return tuple(lam[i] for i in self.free_nodes)
 
+    def coset_coroot(self, coset) -> CorootVec:
+        """The coroot with the coset's coordinates on I \\ I_P and 0 on I_P,
+        so eta of it is the coset; one coordinate per free node."""
+        if len(coset) != len(self.free_nodes):
+            raise ValueError(f"coset has {len(coset)} coordinates, expected one per node off I_P "
+                             f"({len(self.free_nodes)})")
+        lam = [0] * self.rs.rank
+        for i, c in zip(self.free_nodes, coset):
+            lam[i] = c
+        return tuple(lam)
+
     def pair_two_rho_p(self, avee: CorootVec) -> int:
         return self.rs.pair(avee, self.two_rho_p)
 
@@ -260,10 +271,7 @@ def perp_antidominant(pd: ParabolicData, scale: int = 1) -> CorootVec:
 def _coset_lift(pd: ParabolicData, coset, depth: int) -> CorootVec:
     """An antidominant representative of the coset, pushed deep off I_P."""
     rs = pd.rs
-    lam = [0] * rs.rank
-    for i, c in zip(pd.free_nodes, coset):
-        lam[i] = c
-    lam = tuple(lam)
+    lam = pd.coset_coroot(coset)
     perp = perp_antidominant(pd)
     for _ in range(40):
         lam = tuple(a + b for a, b in zip(lam, tuple(depth * c for c in perp)))

@@ -22,12 +22,11 @@ from .weyl import (
     affine_simple_reflection,
     chamber_decompose,
     enumerate_weyl,
-    far_covers,
     is_grassmannian,
     is_superregular,
     length,
-    near_covers,
     superregular_antidominant,
+    superregular_cocovers,
     superregular_margin,
     translation,
 )
@@ -48,52 +47,48 @@ def _require_margin(x: AffineElt, units: int = 1):
 
 
 def _bruhat_operator(rs: RootSystem, f: GroupAlgebraElt, rule) -> GroupAlgebraElt:
-    """sum_x c_x (d_x x + sum k y), where rule(x) gives the diagonal Scalar d_x
-    and the weighted cocovers (y, k) of a superregular x = w t_{v lam}."""
+    """sum_x c_x (d_x x + sum k y), where rule(x, v, w v, near, far), given the
+    entries of ``superregular_cocovers`` for a superregular x = w t_{v lam},
+    gives the diagonal Scalar d_x and the weighted cocovers (k, y.w, y.t)."""
     out: dict = {}
     for x, c in f.items():
         _require_margin(x)
-        diag, covers = rule(x)
+        diag, covers = rule(x, *superregular_cocovers(rs, x.w, x.t))
         t = c.packed
         if diag:
             packed_addmul(out, x, t, diag.packed)
-        for y, k in covers:
+        for k, yw, yt in covers:
             if k:
-                packed_axpy(out, y, t, k)
+                packed_axpy(out, AffineElt(yw, yt), t, k)
     return from_raw(rs, settle(out))
 
 
 def b_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Near equivariant affine Bruhat operator B^mu: diagonal mu - w v mu, weights <alpha^vee, mu>."""
-    def rule(x):
-        _v, wv, covers = near_covers(x)
-        return weight_diff(rs, mu, wv), ((y, rs.pair_weight(avee, mu)) for _a, avee, y, _case in covers)
+    def rule(x, v, wv, near, far):
+        return weight_diff(rs, mu, wv), ((rs.pair_weight(row[1], mu), yw, yt) for yw, yt, _d, row in near)
     return _bruhat_operator(rs, f, rule)
 
 
 def c_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Far equivariant affine Bruhat operator C^mu: diagonal mu - v mu, weights <alpha^vee, mu>."""
-    def rule(x):
-        v, covers = far_covers(x)
-        return weight_diff(rs, mu, v), ((y, rs.pair_weight(avee, mu)) for _a, avee, y, _case in covers)
+    def rule(x, v, wv, near, far):
+        return weight_diff(rs, mu, v), ((rs.pair_weight(row[1], mu), yw, yt) for yw, yt, _d, row in far)
     return _bruhat_operator(rs, f, rule)
 
 
 def twisted_b(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Twisted near operator: diagonal v^{-1} mu - w mu, weights <v alpha^vee, mu>."""
-    def rule(x):
-        v, _wv, covers = near_covers(x)
+    """Twisted near operator: diagonal v^{-1} mu - w mu, weights <v alpha^vee, mu> (the row's d)."""
+    def rule(x, v, wv, near, far):
         diag = weight_diff(rs, mu, x.w) - weight_diff(rs, mu, v.inverse())
-        return diag, ((y, rs.pair_weight(v.act_coroot(avee), mu)) for _a, avee, y, _case in covers)
+        return diag, ((rs.pair_weight(d, mu), yw, yt) for yw, yt, d, _row in near)
     return _bruhat_operator(rs, f, rule)
 
 
 def twisted_c(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Twisted far operator: diagonal v^{-1} mu - mu, weights -<v alpha^vee, mu>."""
-    def rule(x):
-        v, covers = far_covers(x)
-        diag = -weight_diff(rs, mu, v.inverse())
-        return diag, ((y, -rs.pair_weight(v.act_coroot(avee), mu)) for _a, avee, y, _case in covers)
+    """Twisted far operator: diagonal v^{-1} mu - mu, weights -<v alpha^vee, mu> (the row's d)."""
+    def rule(x, v, wv, near, far):
+        return -weight_diff(rs, mu, v.inverse()), ((-rs.pair_weight(d, mu), yw, yt) for yw, yt, d, _row in far)
     return _bruhat_operator(rs, f, rule)
 
 

@@ -18,8 +18,8 @@ from .weyl import (
     enumerate_weyl,
     is_superregular,
     length,
-    near_covers,
     superregular_antidominant,
+    superregular_cocovers,
     translation,
 )
 
@@ -120,7 +120,8 @@ def path_endpoint(path: list[QBEdge], lam, start: WeylElt | None = None) -> Affi
             raise ValueError("path edges do not compose")
         lx = length(x)
         # x = w t_{start lam'} with w start = at: its near covers are the out-edges at `at`
-        y = next(y for a, _avee, y, _case in near_covers(x)[2] if a == e.alpha)
+        near = superregular_cocovers(x.rs, x.w, x.t)[2]
+        y = next(AffineElt(yw, yt) for yw, yt, _d, row in near if row[0] == e.alpha)
         if length(y) != lx - 1:
             raise AssertionError("path step is not a cover")
         x = y

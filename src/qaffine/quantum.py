@@ -266,11 +266,7 @@ def pw_lift(pd, lam_p) -> tuple[CorootVec, frozenset, WeylElt]:
     lam_B is the unique lift pairing to 0 or -1 against every root of R_P^+.
     """
     rs = pd.rs
-    lam = [0] * rs.rank
-    for node, c in zip(pd.free_nodes, lam_p):
-        lam[node] = c
-    lam = tuple(lam)
-    v, lam_b, jms = pd.pi_translation_data(lam)
+    v, lam_b, jms = pd.pi_translation_data(pd.coset_coroot(lam_p))
     for a in pd.rp_positive:
         if rs.pair(lam_b, a) not in (0, -1):
             raise AssertionError("lifted parameter pairs outside {0,-1} on R_P^+")

@@ -450,8 +450,8 @@ def cover_rows(rs: RootSystem, w: WeylElt, v: WeylElt):
 
     A row is (alpha, alpha^vee, w r_{v alpha}, d = v alpha^vee, case).  The near
     rows (cases 1, 2) are the out-edges of the quantum Bruhat graph at w v, the
-    far rows (cases 3, 4) its in-edges at v; the translation of a row's
-    cocover is read off by ``row_translations``.
+    far rows (cases 3, 4) its in-edges at v; ``superregular_cocovers`` reads
+    each row's cocover off ``_CASE_LEVEL``.
     """
     wv = w * v
     ups, quantums, _, _ = cover_table(rs, wv)
@@ -472,44 +472,41 @@ def shared_element(rs: RootSystem, perm: tuple[int, ...]) -> WeylElt:
     return WeylElt(rs, perm)
 
 
-def row_translations(x: AffineElt, lam: CorootVec, rows) -> list:
-    """The translation of each row's cocover of x = w t_{v lam}: t, t + d,
-    t - p d and t - (p + 1) d in cases 1-4, with p = <lam, alpha>."""
-    t = x.t
-    pl = root_pairings(x.rs, lam)
-    index = x.rs.root_index
-    out = []
-    for a, _avee, _wr, d, case in rows:
-        if case == 1:
-            out.append(t)
-        else:
-            m = -1 if case == 2 else pl[index[a]] + case - 3
-            out.append(tuple(c - m * e for c, e in zip(t, d)))
-    return out
+# Case k of a superregular cocover puts its reflection root at level
+# n = e p + c, p = <lam, alpha>, with (e, c) = _CASE_LEVEL[k - 1].
+_CASE_LEVEL = ((1, 0), (1, 1), (0, 0), (0, -1))
 
 
-def near_covers(x: AffineElt):
-    """Near cocovers of superregular x = w t_{v lam}, the out-edges at w v.
+def _level(case: int, p: int) -> int:
+    e, c = _CASE_LEVEL[case - 1]
+    return e * p + c
 
-    Returns (v, w v, [(alpha, alpha^vee, y, case) ...]).
+
+@cached("sregcovers")
+def superregular_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
+    """The cocovers of a superregular x = w t_t, t = v lam with lam
+    antidominant: (v, w v, near entries, far entries).
+
+    An entry is (y.w, y.t, d, row) for the row (alpha, alpha^vee, w r_{v alpha},
+    d = v alpha^vee, case) of ``cover_rows``.  Its cocover is
+    y = w r_{v alpha} t_{t + (n - p) d}, where n is the case's level and
+    p = <lam, alpha>; the positive root of the reflection is -(v alpha) - n delta.
     """
-    rs = x.rs
-    v, lam = chamber_decompose(rs, x.t)
-    wv, near, _ = cover_rows(rs, x.w, v)
-    return v, wv, [(a, avee, AffineElt(wr, u), case)
-                   for (a, avee, wr, _d, case), u in zip(near, row_translations(x, lam, near))]
+    v, lam = chamber_decompose(rs, t)
+    wv, near, far = cover_rows(rs, w, v)
+    pl = root_pairings(rs, lam)
+    index = rs.root_index
 
+    def entries(rows):
+        out = []
+        for row in rows:
+            a, _avee, wr, d, case = row
+            p = pl[index[a]]
+            m = _level(case, p) - p
+            out.append((wr, tuple(c + m * e for c, e in zip(t, d)) if m else t, d, row))
+        return tuple(out)
 
-def far_covers(x: AffineElt):
-    """Far cocovers of superregular x = w t_{v lam}, the in-edges at v.
-
-    Returns (v, [(alpha, alpha^vee, y, case) ...]).
-    """
-    rs = x.rs
-    v, lam = chamber_decompose(rs, x.t)
-    _, _, far = cover_rows(rs, x.w, v)
-    return v, [(a, avee, AffineElt(wr, u), case)
-               for (a, avee, wr, _d, case), u in zip(far, row_translations(x, lam, far))]
+    return v, wv, entries(near), entries(far)
 
 
 def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
@@ -519,14 +516,14 @@ def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
     if not is_superregular(x):
         raise ValueError("element is not superregular")
     v, lam = chamber_decompose(rs, x.t)
+    _v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
     out = []
-    for a, _avee, y, case in near_covers(x)[2] + far_covers(x)[1]:
-        p = rs.pair(lam, a)
+    for yw, yt, _d, (a, _avee, _wr, _dd, case) in near + far:
         # the positive affine root of the reflection is -(v alpha) - n delta
-        beta = AffineRoot(v.act_root(a), (p, p + 1, 0, -1)[case - 1])
+        beta = AffineRoot(v.act_root(a), _level(case, rs.pair(lam, a)))
         if beta.is_positive():
             raise AssertionError("superregular cover reflection root unexpectedly positive")
-        out.append(CoverRecord(x, y, -beta, "near" if case < 3 else "far", case, a))
+        out.append(CoverRecord(x, AffineElt(yw, yt), -beta, "near" if case < 3 else "far", case, a))
     got = {(c.target, c.reflection_root) for c in out}
     want = {(c.target, c.reflection_root) for c in cocovers(x)}
     if got != want:

@@ -29,6 +29,7 @@ from qaffine.weyl import (
     reduced_word,
     simple_reflection,
     superregular_antidominant,
+    superregular_margin,
     translation,
 )
 
@@ -224,17 +225,43 @@ def test_commutator_with_weight_integral():
 
 
 def test_superregular_cocover_pairs_match_enumeration():
-    # the superregular branch reads near/far cover rows with d = v alpha^vee;
-    # the enumeration gives the coroot of the positive reflection root, -d
+    # a superregular element (margin >= 0, the threshold that
+    # cocovers_superregular certifies) reads the cover rows, with
+    # d = v alpha^vee; any other reads the enumeration, which gives the coroot
+    # of the positive reflection root, -d
     rng = random.Random(31)
     for lbl in ["A2", "B2", "G2"]:
         rs = cartan.build(lbl)
         W = enumerate_weyl(rs)
         lam = superregular_antidominant(rs, units=1)
-        for _ in range(30):
-            x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
+        elements = [AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam)) for _ in range(30)]
+        # jitter the least deep superregular lam across the margin boundary
+        base = superregular_antidominant(rs)
+        for jit in itertools.product(range(-2, 3), repeat=rs.rank):
+            x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(tuple(b + j for b, j in zip(base, jit))))
+            if superregular_margin(x) <= 0:
+                elements.append(x)
+        seen = {"positive": 0, "zero": 0, "negative": 0}
+        for x in elements:
+            m = superregular_margin(x)
+            seen["positive" if m > 0 else "zero" if m == 0 else "negative"] += 1
+            entries = nilhecke._cover_entries(rs, x.w, x.t)
+            assert all((row is not None) == (m >= 0) for *_, row in entries), (lbl, x)
+            got = [(AffineElt(yw, yt), d) for yw, yt, d, _row in entries]
             want = {(c.target, tuple(-e for e in rs.coroot_of(c.reflection_root.finite))) for c in cocovers(x)}
-            assert set(nilhecke._cocover_pairs(rs, x)) == want, (lbl, x)
+            assert len(got) == len(want) and set(got) == want, (lbl, x)
+        assert all(seen.values()), (lbl, seen)
+
+
+def test_bruhat_operator_and_centrality_share_one_reader_entry():
+    # b_op and is_central read the cocovers of x from one cached reader entry
+    rs = cartan.build("B2")
+    W = enumerate_weyl(rs)
+    x = AffineElt(W[3], W[5].act_coroot(superregular_antidominant(rs, units=1)))
+    f = {x: one(rs)}
+    peterson.b_op(rs, rs.fundamental_weight(0), f)
+    is_central(rs, f)
+    assert [k for k in rs._cache if k[0] == "sregcovers"] == [("sregcovers", x.w, x.t)]
 
 
 def test_commutator_is_twisted_b_minus_twisted_c():

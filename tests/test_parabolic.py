@@ -294,6 +294,21 @@ def test_pw_lift():
     assert v == from_word(rs, [1, 2])
 
 
+def test_coset_of_the_wrong_length_is_rejected():
+    # a coset has one coordinate per node off I_P; extra or missing ones were
+    # once dropped or padded silently
+    rs = cartan.build("A3")
+    pd = build_parabolic(rs, [1, 2])
+    assert pd.coset_coroot((-1,)) == (-1, 0, 0)
+    for bad in [(), (-1, 5, 7)]:
+        with pytest.raises(ValueError, match="coordinates"):
+            pw_lift(pd, bad)
+    r1, e = simple_reflection(rs, 0), weyl_identity(rs)
+    for lam_p, mu_p in [((0, 3), None), (None, (0, 3)), ((), None)]:
+        with pytest.raises(ValueError, match="coordinates"):
+            quotient_product(pd, r1, e, lam_p=lam_p, mu_p=mu_p)
+
+
 def test_pw_transport_gr24():
     # d^{z, lam_P, P}_{x,y} = d^{z w_P w_P', lam_B}_{x,y} non-equivariantly
     rs, pd = gr24()

@@ -18,20 +18,19 @@ from qaffine.weyl import (
     cocovers_superregular,
     cover_rows,
     enumerate_weyl,
-    far_covers,
     inversions,
     is_grassmannian,
     is_superregular,
     length,
     length_regular,
     longest_element,
-    near_covers,
     reduced_word,
     reflection_of,
     reflection_of_affine,
     root_pairings,
     simple_reflection,
     superregular_antidominant,
+    superregular_cocovers,
     superregular_margin,
     translation,
     weyl_identity,
@@ -453,8 +452,9 @@ def test_root_pairings_match_per_root_formulas():
 
 
 def test_cover_rows_are_shared_across_depths():
-    # the superregular cocovers of w t_{v lam} come from one cached row table
-    # per (w, v); lam only moves the translations
+    # the superregular cocovers of w t_{v lam} are read from one cached row
+    # table per (w, v), by one reader cached per (w, t); lam only moves the
+    # translations
     rng = random.Random(59)
     cases = set()
     for lbl in ["A3", "G2"]:
@@ -468,12 +468,14 @@ def test_cover_rows_are_shared_across_depths():
             for lam in depths:
                 x = AffineElt(w, v.act_coroot(lam))
                 assert chamber_decompose(rs, x.t) == (v, lam)
-                near, far = near_covers(x)[2], far_covers(x)[1]
-                got = [y for _a, _avee, y, _case in near + far]
+                vv, wv, near, far = superregular_cocovers(rs, x.w, x.t)
+                assert (vv, wv) == (v, w * v)
+                assert superregular_cocovers(rs, x.w, x.t)[2] is near
+                got = [AffineElt(yw, yt) for yw, yt, _d, _row in near + far]
                 assert len(set(got)) == len(got)
                 assert set(got) == {c.target for c in cocovers(x)}
-                cases |= {case for *_, case in near + far}
-                finite_parts.append([y.w for y in got])
+                cases |= {row[4] for *_, row in near + far}
+                finite_parts.append([yw for yw, *_ in near + far])
                 assert [k for k in rs._cache if k[0] == "coverrows" and k[1:] == (w, v)] == [("coverrows", w, v)]
             # every depth reads the finite parts of the same row objects
             _wv, near_rows, far_rows = cover_rows(rs, w, v)
