@@ -491,10 +491,15 @@ def superregular_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
     d = v alpha^vee, case) of ``cover_rows``.  Its cocover is
     y = w r_{v alpha} t_{t + (n - p) d}, where n is the case's level and
     p = <lam, alpha>; the positive root of the reflection is -(v alpha) - n delta.
+    Raises ValueError, and caches nothing, unless x is superregular: the cases
+    do not hold below the margin.
     """
     v, lam = chamber_decompose(rs, t)
-    wv, near, far = cover_rows(rs, w, v)
     pl = root_pairings(rs, lam)
+    # the pairings of lam are those of t, permuted by v
+    if min(map(abs, pl)) < 2 * rs.weyl_order + 2:
+        raise ValueError(f"{AffineElt(w, t)!r} is not superregular")
+    wv, near, far = cover_rows(rs, w, v)
     index = rs.root_index
 
     def entries(rows):
@@ -511,12 +516,10 @@ def superregular_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
 
 def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
     """Case-tagged cocovers of a superregular x = w t_{v lam}, certified
-    against the cover enumeration."""
+    against the cover enumeration; ValueError on any other x."""
     rs = x.rs
-    if not is_superregular(x):
-        raise ValueError("element is not superregular")
-    v, lam = chamber_decompose(rs, x.t)
-    _v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
+    v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
+    lam = chamber_decompose(rs, x.t)[1]
     out = []
     for yw, yt, _d, (a, _avee, _wr, _dd, case) in near + far:
         # the positive affine root of the reflection is -(v alpha) - n delta

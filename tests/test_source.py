@@ -51,3 +51,17 @@ def test_no_unused_imports():
     assert len(paths) > 20
     found = [name for path in paths for name in _unused_imports(path)]
     assert not found, found
+
+
+def test_cache_tags_are_distinct():
+    # cached(tag) keys one flat dict per owner by (tag, *args), so two
+    # functions sharing a tag would silently return each other's values
+    where: dict = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "cached":
+                tag = ast.literal_eval(node.args[0])
+                where.setdefault(tag, []).append(f"{path.name}:{node.lineno}")
+    assert len(where) > 20
+    shared = {tag: sites for tag, sites in where.items() if len(sites) > 1}
+    assert not shared, shared
