@@ -204,6 +204,8 @@ class RootSystem:
     simple_perms: tuple[tuple[int, ...], ...]  # r_i as a permutation of the root indices
     pairing_rows: dict[RootVec, tuple[int, ...]]  # (<alpha_i^vee, alpha>)_i for every root alpha
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # perm -> its one WeylElt: the identity of the finite elements, not a cache
+    _elts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __hash__(self):
         return hash(self.label)

@@ -285,6 +285,8 @@ def root_scalar(rs: RootSystem, v) -> Scalar:
 
 def weight_diff(rs: RootSystem, mu: WeightVec, w: WeylElt) -> Scalar:
     """mu - w.mu as a Scalar (the difference always lies in Q)."""
+    if len(mu) != rs.rank:
+        raise ValueError(f"weight {tuple(mu)} has {len(mu)} coordinates, expected {rs.rank} for {rs.label}")
     return _weight_diff(rs, tuple(mu), w)
 
 

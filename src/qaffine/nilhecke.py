@@ -21,30 +21,27 @@ def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
     Domain: a is supported on superregular elements, as are the b-elements
     and j-classes the product path certifies; any other term raises
     ValueError.  Every commutator [omega_i, a] is accumulated exactly, in one
-    pass over a, in one raw class keyed by (i, w.perm, t), the parts of
-    y = w t_lam, so that equal elements meet as equal tuples.  By the
-    Kostant-Kumar commutation rule a term c A_x gives c (omega_i - x.omega_i)
-    at x, the cached ``omega_diff`` of the finite part, and
-    -c <beta^vee, omega_i> = c d[i] at each cocover y, read raw from
-    ``superregular_cocovers`` with no AffineElt built.  a is central iff
+    pass over a, in one raw class keyed by (i, w, t), the parts of
+    y = w t_lam.  By the Kostant-Kumar commutation rule a term c A_x gives
+    c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the finite
+    part, and -c <beta^vee, omega_i> = c d[i] at each cocover y, read raw
+    from ``superregular_cocovers`` with no AffineElt built.  a is central iff
     every commutator settles to 0.
     """
     acc: dict = {}
     for x, cx in a.items():
         t = cx.packed
         xw, xt = x.w, x.t
-        xp = xw.perm
         for i in range(rs.rank):
             d = omega_diff(rs, i, xw).packed
             if d:
-                packed_addmul(acc, (i, xp, xt), t, d)
+                packed_addmul(acc, (i, xw, xt), t, d)
         _v, _wv, near, far = superregular_cocovers(rs, xw, xt)
         for entries in (near, far):
             for yw, yt, dy, _row in entries:
-                yp = yw.perm
                 for i, di in enumerate(dy):
                     if di:
-                        packed_axpy(acc, (i, yp, yt), t, di)
+                        packed_axpy(acc, (i, yw, yt), t, di)
     return not settle(acc)
 
 

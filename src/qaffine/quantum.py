@@ -66,6 +66,8 @@ def chevalley(rs: RootSystem, i: int, sigma: QHClass) -> QHClass:
 
 def chevalley_weight(rs: RootSystem, mu: WeightVec, sigma: QHClass) -> QHClass:
     """Multiplication by sum_i mu_i sigma^{r_i}."""
+    if len(mu) != rs.rank:
+        raise ValueError(f"weight {tuple(mu)} has {len(mu)} coordinates, expected {rs.rank} for {rs.label}")
     raw = to_raw(sigma)
     out: dict = {}
     for i, m in enumerate(mu):

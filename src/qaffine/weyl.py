@@ -5,7 +5,8 @@ A finite element is stored as a permutation of the roots (Casselman,
 index of the image of every root in the fixed order ``rs.roots`` (positive
 roots, then their negatives).  A product is tuple indexing, the length counts
 positive roots sent to negative ones, and the actions on roots, coroots and
-weights are read off the images of the simple roots; equality is structural.
+weights are read off the images of the simple roots.  Elements are canonical:
+a root system keeps one element per permutation, so equality is identity.
 An affine element ``w t_lam`` pairs a finite element with a coroot-lattice
 translation.
 """
@@ -22,15 +23,15 @@ class WeylElt:
 
     __slots__ = ("rs", "perm", "_inv", "_len", "_hash")
 
-    def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
-        self.rs = rs
-        self.perm = perm
-        self._inv = None
-        self._len = None
-        self._hash = hash(perm)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.perm == other.perm and self.rs is other.rs
+    def __new__(cls, rs: RootSystem, perm: tuple[int, ...]):
+        # the one element of perm in rs, so equality is identity; a miss goes
+        # through setdefault, so threads that race on a new perm share one
+        self = rs._elts.get(perm)
+        if self is None:
+            self = object.__new__(cls)
+            self.rs, self.perm, self._inv, self._len, self._hash = rs, perm, None, None, hash(perm)
+            self = rs._elts.setdefault(perm, self)
+        return self
 
     def __hash__(self):
         return self._hash
@@ -218,7 +219,7 @@ class AffineElt:
         self._hash = hash((w._hash, t))
 
     def __eq__(self, other):
-        return isinstance(other, AffineElt) and self.t == other.t and self.w == other.w
+        return isinstance(other, AffineElt) and self.w is other.w and self.t == other.t
 
     def __hash__(self):
         return self._hash
@@ -451,7 +452,9 @@ def cover_rows(rs: RootSystem, w: WeylElt, v: WeylElt):
     A row is (alpha, alpha^vee, w r_{v alpha}, d = v alpha^vee, case).  The near
     rows (cases 1, 2) are the out-edges of the quantum Bruhat graph at w v, the
     far rows (cases 3, 4) its in-edges at v; ``superregular_cocovers`` reads
-    each row's cocover off ``_CASE_LEVEL``.
+    each row's cocover off ``_CASE_LEVEL``.  The finite parts w r_{v alpha}
+    are the canonical elements, so the rows of all |W|^2 chamber pairs name
+    only |W| objects.
     """
     wv = w * v
     ups, quantums, _, _ = cover_table(rs, wv)
@@ -459,17 +462,8 @@ def cover_rows(rs: RootSystem, w: WeylElt, v: WeylElt):
     near, far = [], []
     for case, (rows, out) in enumerate(((ups, near), (quantums, near), (downs, far), (qups, far)), 1):
         for a, avee, _ in rows:
-            wr = w * reflection_of(rs, v.act_root(a))
-            out.append((a, avee, shared_element(rs, wr.perm), v.act_coroot(avee), case))
+            out.append((a, avee, w * reflection_of(rs, v.act_root(a)), v.act_coroot(avee), case))
     return wv, tuple(near), tuple(far)
-
-
-@cached("shared")
-def shared_element(rs: RootSystem, perm: tuple[int, ...]) -> WeylElt:
-    """The one WeylElt kept per permutation for cover rows and the cocovers
-    built from them: the rows of |W|^2 chamber pairs name only |W| finite
-    parts."""
-    return WeylElt(rs, perm)
 
 
 # Case k of a superregular cocover puts its reflection root at level

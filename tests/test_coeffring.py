@@ -86,6 +86,16 @@ def test_weight_diff():
         assert d.degree() <= 1
 
 
+def test_weight_of_the_wrong_length_is_rejected_and_not_cached():
+    rs = cartan.build("A2")
+    s1 = simple_reflection(rs, 0)
+    for mu in [(3,), (3, 0, 0), (1, 0, 7), ()]:
+        with pytest.raises(ValueError, match="coordinates"):
+            weight_diff(rs, mu, s1)
+    assert not [k for k in rs._cache if k[0] == "weight-diff"]
+    assert weight_diff(rs, (3, 0), s1) == 3 * a(0)
+
+
 def test_group_algebra_helpers():
     rs = cartan.build("A2")
     lam = (-2, -3)  # regular

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +56,9 @@ def test_chevalley_weight():
     sig = qh_basis(rs, s(rs, 0))
     assert chevalley_weight(rs, (1, 0), sig) == chevalley(rs, 0, sig)
     assert chevalley_weight(rs, (0, 0), sig) == {}
+    for mu in [(1,), (0, 0, 1)]:
+        with pytest.raises(ValueError, match="coordinates"):
+            chevalley_weight(rs, mu, sig)
     rng = random.Random(3)
     for _ in range(5):
         mu = (rng.randint(-2, 2), rng.randint(-2, 2))

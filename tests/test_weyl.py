@@ -1,10 +1,12 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaffine import cartan
+from qaffine import cartan, peterson
 from qaffine.cartan import AffineRoot
 from qaffine.qbruhat import build_qbg, endpoint_for_pair
 from qaffine.weyl import (
@@ -18,6 +20,7 @@ from qaffine.weyl import (
     cocovers_superregular,
     cover_rows,
     enumerate_weyl,
+    from_word,
     inversions,
     is_grassmannian,
     is_superregular,
@@ -39,6 +42,67 @@ from qaffine.weyl import (
 
 def neg_theta_vee(rs):
     return tuple(-c for c in rs.theta_vee)
+
+
+def test_equal_finite_elements_are_one_object():
+    rs = cartan.build("A2")
+    assert from_word(rs, (0, 1, 0)) is from_word(rs, (1, 0, 1))
+    rng = random.Random(23)
+    for lbl in ["B2", "G2"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        for w in W:
+            assert w.inverse().inverse() is w
+        for _ in range(40):
+            x, y, z = rng.choice(W), rng.choice(W), rng.choice(W)
+            assert (x * y) * z is x * (y * z)
+
+
+def test_a_j_class_adds_no_finite_element():
+    rs = cartan.build("A3")
+    W = enumerate_weyl(rs)
+    assert len(rs._elts) == 24
+    w = next(w for w in W if w.length() == 2)
+    x = AffineElt(w, superregular_antidominant(rs, units=peterson.j_units_needed(rs, w)))
+    assert peterson.j_class(rs, x)
+    assert len(rs._elts) == 24
+
+
+def test_finite_elements_of_two_builds_stay_apart():
+    rs1, rs2 = cartan.build("A2"), cartan.build("A2")
+    for u, v in zip(enumerate_weyl(rs1), enumerate_weyl(rs2)):
+        assert u.perm == v.perm
+        assert u is not v and u != v
+    assert not set(enumerate_weyl(rs1)) & set(enumerate_weyl(rs2))
+
+
+def test_threads_racing_on_new_permutations_share_one_element():
+    words = [tuple(random.Random(k).choices(range(3), k=9)) for k in range(200)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rs = cartan.build("B3")  # a fresh table each time, so every thread races on new perms
+            got = [[] for _ in range(4)]
+            start = threading.Barrier(len(got))
+
+            def work(out, rs=rs, start=start):
+                start.wait(timeout=60)
+                for word in words:
+                    out.append(from_word(rs, word))
+
+            threads = [threading.Thread(target=work, args=(out,)) for out in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(len(out) == len(words) for out in got)
+            for elts in zip(*got):
+                assert all(e is elts[0] for e in elts)
+            assert all(rs._elts[e.perm] is e for e in got[0])
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_length_basics():
