@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 RootVec = tuple[int, ...]
@@ -31,9 +32,6 @@ class AffineRoot(NamedTuple):
         if self.level != 0:
             return self.level > 0
         return _is_positive_vec(self.finite)
-
-    def __neg__(self) -> "AffineRoot":
-        return AffineRoot(tuple(-c for c in self.finite), -self.level)
 
 
 def cached(tag: str):
@@ -263,10 +261,16 @@ class RootSystem:
         return tuple(out)
 
     def is_antidominant(self, lam: CorootVec) -> bool:
-        return all(self.pair_root(lam, self.simple_root(i)) <= 0 for i in range(self.rank))
+        # <lam, alpha_i> = sum_j lam_j C[j][i], column i of the Cartan matrix
+        if len(lam) != self.rank:
+            raise ValueError("dimension mismatch")
+        return all(sum(map(mul, lam, col)) <= 0 for col in zip(*self.cartan))
 
     def is_regular(self, lam: CorootVec) -> bool:
-        return all(self.pair_root(lam, a) != 0 for a in self.positive_roots)
+        if len(lam) != self.rank:
+            raise ValueError("dimension mismatch")
+        rows = self.pairing_rows
+        return all(sum(map(mul, lam, rows[a])) for a in self.positive_roots)
 
     def pair(self, lam: CorootVec, alpha: RootVec) -> int:
         """<lam, alpha>: a dot product with a stored row for a root, else pair_root."""

@@ -11,11 +11,12 @@ the bounded-partition dictionary for Grassmannians.
 from dataclasses import dataclass, field
 from math import gcd
 
-from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _adjugate, _is_positive_vec, cached
+from .cartan import CorootVec, RootSystem, RootVec, _adjugate, cached
 from .coeffring import from_raw, packed_axpy, settle
 from .weyl import (
     AffineElt,
     WeylElt,
+    _inversions,
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
@@ -27,6 +28,7 @@ from .weyl import (
     longest_of,
     reflection_of,
     reflection_of_affine,
+    root_pairings,
     simple_reflection,
     weyl_identity,
 )
@@ -39,22 +41,20 @@ class ParabolicData:
     free_nodes: tuple  # sorted I \ I_P
     components: tuple  # tuple of tuples, Dynkin components of I_P
     rp_positive: tuple  # positive roots supported on I_P
+    rp_index: tuple  # their indices in rs.roots, ascending
     two_rho_p: RootVec
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic membership ---------------------------------------------------
     def in_wp(self, w: WeylElt) -> bool:
-        return all(not neg or self.rs.positive_roots[k] in self._rp_set
-                   for k, neg in enumerate(w.neg_set()))
+        """w in W_P: every positive root that w sends negative lies in R_P^+."""
+        rp = self.rp_index
+        npos = len(self.rs.positive_roots)
+        return all(j < npos or k in rp for k, j in enumerate(w.perm[:npos]))
 
     def is_minimal_rep(self, w: WeylElt) -> bool:
         """w in W^P: no inversions among the simple roots of I_P... w alpha_j > 0."""
         return not any(w.descends(j) for j in self.nodes)
-
-    @property
-    @cached("rpset")
-    def _rp_set(self):
-        return set(self.rp_positive)
 
     @cached("wp_reps")
     def minimal_reps(self) -> list[WeylElt]:
@@ -182,46 +182,31 @@ def build_parabolic(rs: RootSystem, nodes) -> ParabolicData:
                     frontier.append(j)
         comps.append(tuple(sorted(comp)))
         remaining -= comp
-    rp = tuple(a for a in rs.positive_roots if all(c == 0 or i in nodes for i, c in enumerate(a)))
+    rp_index = tuple(k for k, a in enumerate(rs.positive_roots)
+                     if all(c == 0 or i in nodes for i, c in enumerate(a)))
+    rp = tuple(map(rs.roots.__getitem__, rp_index))
     two_rho_p = tuple(sum(col) for col in zip(*rp)) if rp else (0,) * rs.rank
-    return ParabolicData(rs, nodes, free, tuple(sorted(comps)), rp, two_rho_p)
+    return ParabolicData(rs, nodes, free, tuple(sorted(comps)), rp, rp_index, two_rho_p)
 
 
 def in_WPaff(pd: ParabolicData, x: AffineElt) -> bool:
-    """w t_lam in (W^P)_af iff pairings against R_P^+ match the inversion pattern."""
-    rs = pd.rs
-    for a in pd.rp_positive:
-        p = rs.pair(x.t, a)
-        if _is_positive_vec(x.w.act_root(a)):
-            if p != 0:
-                return False
-        elif p != -1:
-            return False
-    return True
+    """w t_lam in (W^P)_af iff <lam, alpha> = -[w alpha < 0] on R_P^+."""
+    pr = root_pairings(pd.rs, x.t)
+    perm = x.w.perm
+    npos = len(pd.rs.positive_roots)
+    return all(pr[k] == -(perm[k] >= npos) for k in pd.rp_index)
 
 
 def pi_P(pd: ParabolicData, x: AffineElt) -> AffineElt:
     """The (W^P)_af factor of x, by stripping inversions lying over R_P."""
     rs = pd.rs
     while True:
-        beta = _find_rp_inversion(pd, x)
+        beta = next(_inversions(x, pd.rp_index), None)
         if beta is None:
             if not in_WPaff(pd, x):
                 raise AssertionError("pi_P left (W^P)_af")
             return x
         x = x * reflection_of_affine(rs, beta)
-
-
-def _find_rp_inversion(pd: ParabolicData, x: AffineElt):
-    rs = pd.rs
-    for a in pd.rp_positive:
-        for alpha, nmin in ((a, 0), (tuple(-c for c in a), 1)):
-            p = rs.pair(x.t, alpha)
-            wneg = not _is_positive_vec(x.w.act_root(alpha))
-            top = p if wneg else p - 1
-            if top >= nmin:
-                return AffineRoot(alpha, nmin)
-    return None
 
 
 def pi_P_translation(pd: ParabolicData, lam: CorootVec) -> AffineElt:
@@ -252,8 +237,9 @@ def _perp_base(pd: ParabolicData) -> CorootVec:
     coords = [sum(rs.cartan_adj[i][k] for i in pd.free_nodes) for k in range(rs.rank)]
     g = gcd(*coords, rs.cartan_det)
     base = tuple(-c // g for c in coords)
-    for j in range(rs.rank):
-        p = rs.pair(base, rs.simple_root(j))
+    pr = root_pairings(rs, base)
+    for j, s in enumerate(rs.simple_index):
+        p = pr[s]
         if (p == 0) != (j in pd.nodes) or p > 0:
             raise AssertionError("perpendicular base has the wrong pairing pattern")
     return base
@@ -268,32 +254,11 @@ def perp_antidominant(pd: ParabolicData, scale: int = 1) -> CorootVec:
     return tuple(scale * c for c in _perp_base(pd))
 
 
-def _coset_lift(pd: ParabolicData, coset, depth: int) -> CorootVec:
-    """An antidominant representative of the coset, pushed deep off I_P."""
-    rs = pd.rs
-    lam = pd.coset_coroot(coset)
-    perp = perp_antidominant(pd)
-    for _ in range(40):
-        lam = tuple(a + b for a, b in zip(lam, tuple(depth * c for c in perp)))
-        # antidominantize inside Q_P^vee (keeps the coset)
-        for _ in range(200):
-            for j in pd.nodes:
-                p = rs.pair(lam, rs.simple_root(j))
-                if p > 0:
-                    lam = simple_reflection(rs, j).act_coroot(lam)
-                    break
-            else:
-                break
-        if rs.is_antidominant(lam):
-            return lam
-    raise AssertionError("failed to find an antidominant coset representative")
-
-
-def parabolic_basis_element(pd: ParabolicData, v: WeylElt, coset, depth: int = 2) -> AffineElt:
-    """v pi_P(t_lam) in W_af^- with eta_P(lam) the requested coset."""
+def parabolic_basis_element(pd: ParabolicData, v: WeylElt) -> AffineElt:
+    """v pi_P(t_lam) in W_af^- for lam = perp_antidominant(pd, 2), in the zero coset."""
     if not pd.is_minimal_rep(v):
         raise ValueError("basis index must be a minimal coset representative")
-    lam = _coset_lift(pd, coset, depth)
+    lam = perp_antidominant(pd, 2)
     x = AffineElt(v, pd.rs.zero_coroot()) * pi_P_translation(pd, lam)
     if not (is_grassmannian(x) and in_WPaff(pd, x)):
         raise AssertionError("lift left the expected stratum")
@@ -311,22 +276,20 @@ def factor_parabolic(pd: ParabolicData, z: AffineElt) -> tuple[WeylElt, tuple]:
     return u, pd.eta(z.t)
 
 
-def quotient_product(pd: ParabolicData, v: WeylElt, u: WeylElt, lam_p=None, mu_p=None) -> dict:
+def quotient_product(pd: ParabolicData, v: WeylElt, u: WeylElt) -> dict:
     """sigma_P^v * sigma_P^u via the affine quotient: product, mod J_P, rewrite.
 
-    Returns a parabolic class ``(w in W^P, q-exponents over I \\ I_P) -> Scalar``;
-    inputs carry optional q-cosets (defaults 0).
+    Both factors are lifted to basis elements in the zero q-coset.  Returns a
+    parabolic class ``(w in W^P, q-exponents over I \\ I_P) -> Scalar``, whose
+    q-exponents are certified nonnegative.
     """
     # imported here, so the commands that need only pi_P or the Lapointe-Morse
     # map do not load the affine route
     from .peterson import hom_product_basis
 
     rs = pd.rs
-    nfree = len(pd.free_nodes)
-    lam_p = tuple(lam_p) if lam_p is not None else (0,) * nfree
-    mu_p = tuple(mu_p) if mu_p is not None else (0,) * nfree
-    x = parabolic_basis_element(pd, v, lam_p)
-    y = parabolic_basis_element(pd, u, mu_p)
+    x = parabolic_basis_element(pd, v)
+    y = parabolic_basis_element(pd, u)
     base_x = pd.eta(x.t)
     base_y = pd.eta(y.t)
     prod = hom_product_basis(rs, x, y)
@@ -335,12 +298,12 @@ def quotient_product(pd: ParabolicData, v: WeylElt, u: WeylElt, lam_p=None, mu_p
         if in_JP(pd, z):
             continue
         uz, qz = factor_parabolic(pd, z)
-        q = tuple(a - b - d + l + m for a, b, d, l, m in zip(qz, base_x, base_y, lam_p, mu_p))
+        q = tuple(a - b - d for a, b, d in zip(qz, base_x, base_y))
         packed_axpy(out, (uz, q), c.packed, 1)
     out = from_raw(rs, settle(out))
     for (w, q) in out:
-        if any(a < b + c for a, b, c in zip(q, lam_p, mu_p)):
-            raise AssertionError("quotient product exponent dropped below input")
+        if any(a < 0 for a in q):
+            raise AssertionError("quotient product has a negative q exponent")
     return out
 
 
@@ -356,34 +319,30 @@ def tau(rs: RootSystem, i: int) -> tuple:
     """The affine diagram automorphism with tau_i(i) = 0, as a node permutation.
 
     Node ids: 0 is the affine node, k = 1..r the finite ones.  Realized by
-    v_i t_{-omega_i^vee}: tau(k) is the index of v_i alpha_k, with
-    v_i alpha_i = -theta and tau(0) the index of -v_i theta.
+    v_i t_{-omega_i^vee}: tau(k) is the node of v_i alpha_k, with
+    v_i alpha_i = -theta, and tau(0) the node of v_i (-theta).
     """
     if i == 0:
         return tuple(range(rs.rank + 1))
     if not is_special_node(rs, i):
         raise ValueError(f"node {i} is not special (mark != 1)")
     vi = longest_element(rs) * longest_of(rs, [k for k in range(rs.rank) if k != i - 1])
-    out = [None] * (rs.rank + 1)
-    for k in range(1, rs.rank + 1):
-        img = vi.act_root(rs.simple_root(k - 1))
-        if img == tuple(-c for c in rs.theta):
-            out[k] = 0
-        else:
-            out[k] = _simple_index(rs, img) + 1
-    img0 = tuple(-c for c in vi.act_root(rs.theta))
-    out[0] = _simple_index(rs, img0) + 1
+    out = _node_images(rs, vi.perm)
     if sorted(out) != list(range(rs.rank + 1)) or out[i] != 0:
         raise AssertionError("tau is not a node permutation sending i to 0")
     _assert_affine_automorphism(rs, out)
-    return tuple(out)
+    return out
 
 
-def _simple_index(rs: RootSystem, v: RootVec) -> int:
-    for k in range(rs.rank):
-        if v == rs.simple_root(k):
-            return k
-    raise AssertionError(f"{v} is not a simple root")
+def _node_images(rs: RootSystem, perm) -> tuple:
+    """For each node k of I_af, the node whose root is the image under the root
+    permutation perm of node k's root: -theta for node 0, alpha_k for k >= 1."""
+    ks = (rs.root_index[tuple(-c for c in rs.theta)],) + rs.simple_index
+    node = {k: n for n, k in enumerate(ks)}
+    out = tuple(node.get(perm[k]) for k in ks)
+    if None in out:
+        raise AssertionError("the image of a node's root is neither simple nor -theta")
+    return out
 
 
 @cached("affcartan")
@@ -410,12 +369,12 @@ def _assert_affine_automorphism(rs: RootSystem, perm) -> None:
 @cached("star")
 def star(rs: RootSystem) -> tuple:
     """The automorphism w -> w_0 w w_0 on node ids, fixing the affine node."""
-    w0 = longest_element(rs)
-    out = [0] * (rs.rank + 1)
-    for k in range(rs.rank):
-        img = tuple(-c for c in w0.act_root(rs.simple_root(k)))
-        out[k + 1] = _simple_index(rs, img) + 1
-    perm = tuple(out)
+    w0 = longest_element(rs).perm
+    npos = len(rs.positive_roots)
+    # -w0 as a root permutation: negation shifts an index by npos
+    perm = _node_images(rs, w0[npos:] + w0[:npos])
+    if perm[0] != 0:
+        raise AssertionError("star moves the affine node")
     _assert_affine_automorphism(rs, perm)
     return perm
 
@@ -482,8 +441,8 @@ def highest_root_product(pd: ParabolicData, w: WeylElt) -> dict:
     out: dict = {}
     winv = w.inverse()
     # first term present iff w alpha = theta for some alpha in R^+ \ R_P^+
-    winv_theta = winv.act_root(rs.theta)
-    if _is_positive_vec(winv_theta) and winv_theta not in pd._rp_set:
+    k = winv.perm[rs.root_index[rs.theta]]
+    if k < len(rs.positive_roots) and k not in pd.rp_index:
         shift = pd.eta(tuple(a - b for a, b in zip(rs.theta_vee, winv.act_coroot(rs.theta_vee))))
         target = pd.pi_finite(reflection_of(rs, rs.theta) * w)
         out[(target, shift)] = 1

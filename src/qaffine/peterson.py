@@ -18,6 +18,7 @@ from .nilhecke import NilHeckeElt, act_on_homology, is_central, mod_J
 from .quantum import QHClass, gw_coefficient, schubert_poly
 from .weyl import (
     AffineElt,
+    BudgetError,
     WeylElt,
     affine_simple_reflection,
     chamber_decompose,
@@ -25,6 +26,7 @@ from .weyl import (
     is_grassmannian,
     is_superregular,
     length,
+    root_pairings,
     superregular_antidominant,
     superregular_cocovers,
     superregular_margin,
@@ -32,11 +34,6 @@ from .weyl import (
 )
 
 GroupAlgebraElt = dict  # AffineElt -> Scalar
-
-
-class BudgetError(ValueError):
-    """A superregularity budget was exhausted: the input lacks the margin the
-    computation needs, an argument error."""
 
 
 def _require_margin(x: AffineElt, units: int = 1):
@@ -154,7 +151,7 @@ def j_units_needed(rs: RootSystem, w: WeylElt) -> int:
     poly = schubert_poly(rs, w)
     worst = 1
     for (qshift, word) in poly.terms:
-        qpair = max((abs(rs.pair(qshift, a)) for a in rs.positive_roots), default=0)
+        qpair = max(map(abs, root_pairings(rs, qshift)))
         worst = max(worst, len(word) + (qpair + 3) // 4 + 1)
     return worst
 
@@ -305,7 +302,7 @@ def j_from_gw(rs: RootSystem, x: AffineElt, y: AffineElt) -> Scalar:
 
 def gw_from_j(rs: RootSystem, f: WeylElt, g: WeylElt, h: WeylElt, eta: CorootVec) -> Scalar:
     """c_{f,g}^{h,eta} as the j-coefficient j_{f t_lam}^{h g^{-1} t_{g(eta+lam)}}."""
-    pad = max((abs(rs.pair(eta, a)) for a in rs.positive_roots), default=0)
+    pad = max(map(abs, root_pairings(rs, eta)))
     lam = superregular_antidominant(rs, units=j_units_needed(rs, f), shift=pad + 4)
     x = AffineElt(f, lam)
     j = j_class(rs, x)

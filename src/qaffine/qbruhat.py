@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .cartan import RootSystem, RootVec, cached
 from .weyl import (
     AffineElt,
+    BudgetError,
     WeylElt,
     bruhat_leq,
     cover_table,
@@ -104,8 +105,9 @@ def all_shortest_paths(g: QBGraph, u: WeylElt, w: WeylElt) -> list[list[QBEdge]]
 def path_endpoint(path: list[QBEdge], lam, start: WeylElt | None = None) -> AffineElt:
     """Walk a quantum-Bruhat path as near covers below t_{v lam}.
 
-    ``lam`` must be antidominant and superregular enough for len(path) steps;
-    the walk starts at t_{v lam} where v is the path's start vertex.
+    ``lam`` must be antidominant and superregular enough for len(path) steps
+    (BudgetError otherwise); the walk starts at t_{v lam} where v is the
+    path's start vertex.
     """
     if start is None:
         if not path:
@@ -113,7 +115,7 @@ def path_endpoint(path: list[QBEdge], lam, start: WeylElt | None = None) -> Affi
         start = path[0].source
     x = translation(start.rs, start.act_coroot(tuple(lam)))
     if not is_superregular(x, slack=4 * len(path)):
-        raise ValueError("lam is not superregular enough for this path length")
+        raise BudgetError("lam is not superregular enough for this path length")
     at = start
     for e in path:
         if e.source != at:

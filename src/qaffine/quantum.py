@@ -26,7 +26,7 @@ from .coeffring import (
     settle,
     to_raw,
 )
-from .weyl import WeylElt, cover_table, enumerate_weyl, longest_of, weyl_identity
+from .weyl import WeylElt, cover_table, enumerate_weyl, longest_of, root_pairings, weyl_identity
 
 QHClass = dict  # (WeylElt, qexp tuple) -> Scalar
 
@@ -269,9 +269,9 @@ def pw_lift(pd, lam_p) -> tuple[CorootVec, frozenset, WeylElt]:
     """
     rs = pd.rs
     v, lam_b, jms = pd.pi_translation_data(pd.coset_coroot(lam_p))
-    for a in pd.rp_positive:
-        if rs.pair(lam_b, a) not in (0, -1):
-            raise AssertionError("lifted parameter pairs outside {0,-1} on R_P^+")
+    pr = root_pairings(rs, lam_b)
+    if any(pr[k] not in (0, -1) for k in pd.rp_index):
+        raise AssertionError("lifted parameter pairs outside {0,-1} on R_P^+")
     ipp = frozenset(pd.nodes) - {j for j in jms if j is not None}
     wp = pd.longest_wp()
     wpp = longest_of(rs, ipp)

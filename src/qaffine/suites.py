@@ -397,7 +397,7 @@ def suite_parabolic() -> dict:
         r0 = affine_simple_reflection(rs, 0)
         u0, q0 = factor_parabolic(pd, r0)
         for w in pd.minimal_reps():
-            x = parabolic_basis_element(pd, w, (0,))
+            x = parabolic_basis_element(pd, w)
             img = pieri_r0(rs, {x: 1})
             got = {}
             for y, c in img.items():

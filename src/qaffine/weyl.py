@@ -9,13 +9,23 @@ weights are read off the images of the simple roots.  Elements are canonical:
 a root system keeps one element per permutation, so equality is identity.
 An affine element ``w t_lam`` pairs a finite element with a coroot-lattice
 translation.
+
+Every question about a root of index k at ``x = w t_lam`` reads two tables:
+whether ``w alpha`` is negative is ``w.perm[k] >= npos``, and the pairing
+``<lam, alpha>`` is ``root_pairings(rs, lam)[k]`` (``npos`` the number of
+positive roots).  No root vector is built to answer either.
 """
 
 from dataclasses import dataclass
 from math import gcd
 from operator import add, mul
 
-from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, _is_positive_vec, cached
+from .cartan import AffineRoot, CorootVec, RootSystem, RootVec, cached
+
+
+class BudgetError(ValueError):
+    """A superregularity budget was exhausted: the input lacks the margin the
+    computation needs, an argument error."""
 
 
 class WeylElt:
@@ -35,6 +45,13 @@ class WeylElt:
 
     def __hash__(self):
         return self._hash
+
+    # canonical and immutable: a copy is the element itself
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         return WeylElt(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
@@ -259,13 +276,6 @@ def translation(rs: RootSystem, lam: CorootVec) -> AffineElt:
     return AffineElt(weyl_identity(rs), tuple(lam))
 
 
-@cached("afsimple")
-def _affine_simple_roots(rs: RootSystem) -> tuple[AffineRoot, ...]:
-    """alpha_i for i in I_af, with alpha_0 = -theta + delta."""
-    return (AffineRoot(tuple(-c for c in rs.theta), 1),) + tuple(AffineRoot(rs.simple_root(i), 0)
-                                                               for i in range(rs.rank))
-
-
 def affine_simple_reflection(rs: RootSystem, i: int) -> AffineElt:
     """r_i for i in I_af, with r_0 = r_theta t_{-theta^vee}."""
     if i == 0:
@@ -328,17 +338,28 @@ def length_regular(u: WeylElt, w: WeylElt, lam: CorootVec) -> int:
     return val
 
 
+def _inversions(x: AffineElt, ks):
+    """The positive affine roots beta with x . beta < 0 over the positive roots
+    of index k in ks and their negatives, each lowest level first.
+
+    With p = <t, alpha> and wneg = [w alpha < 0], x . (alpha + n delta) has
+    level n - p, so alpha + n delta is an inversion for n in range(p + wneg),
+    and -alpha + n delta for n in range(1, 1 - p - wneg).
+    """
+    rs = x.rs
+    roots, perm, pr = rs.roots, x.w.perm, root_pairings(rs, x.t)
+    npos = len(rs.positive_roots)
+    for k in ks:
+        top = pr[k] + (perm[k] >= npos)
+        for n in range(top):
+            yield AffineRoot(roots[k], n)
+        for n in range(1, 1 - top):
+            yield AffineRoot(roots[k + npos], n)
+
+
 def inversions(x: AffineElt) -> list[AffineRoot]:
     """All positive affine real roots beta with x . beta < 0."""
-    rs = x.rs
-    out = []
-    for a in rs.positive_roots:
-        for alpha, nmin in ((a, 0), (tuple(-c for c in a), 1)):
-            p = rs.pair(x.t, alpha)
-            wneg = not _is_positive_vec(x.w.act_root(alpha))
-            top = p if wneg else p - 1
-            for n in range(nmin, top + 1):
-                out.append(AffineRoot(alpha, n))
+    out = list(_inversions(x, range(len(x.rs.positive_roots))))
     if len(out) != length(x):
         raise AssertionError("inversion count disagrees with the length")
     return out
@@ -400,8 +421,8 @@ def _sreg_base(rs: RootSystem) -> CorootVec:
     col = [sum(row[i] for row in rs.cartan_adj) for i in range(rs.rank)]
     g = gcd(*col, rs.cartan_det)
     base = tuple(-c // g for c in col)
-    if not all(rs.pair(base, rs.simple_root(j)) == rs.pair(base, rs.simple_root(0)) < 0
-               for j in range(rs.rank)):
+    pr = root_pairings(rs, base)
+    if not all(pr[s] == pr[rs.simple_index[0]] < 0 for s in rs.simple_index):
         raise AssertionError("superregular base must pair equally and negatively with every simple root")
     return base
 
@@ -409,7 +430,7 @@ def _sreg_base(rs: RootSystem) -> CorootVec:
 def superregular_antidominant(rs: RootSystem, units: int = 0, shift: int = 0) -> CorootVec:
     """An antidominant lam with margin >= 4 * units (one unit per operator step)."""
     base = _sreg_base(rs)
-    m = -rs.pair(base, rs.simple_root(0))
+    m = -root_pairings(rs, base)[rs.simple_index[0]]
     need = 2 * rs.weyl_order + 2 + 4 * units + shift
     k = -(-need // m)  # ceil
     return tuple(k * c for c in base)
@@ -485,14 +506,14 @@ def superregular_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
     d = v alpha^vee, case) of ``cover_rows``.  Its cocover is
     y = w r_{v alpha} t_{t + (n - p) d}, where n is the case's level and
     p = <lam, alpha>; the positive root of the reflection is -(v alpha) - n delta.
-    Raises ValueError, and caches nothing, unless x is superregular: the cases
-    do not hold below the margin.
+    Raises BudgetError, and caches nothing, unless x is superregular: the
+    cases do not hold below the margin.
     """
     v, lam = chamber_decompose(rs, t)
     pl = root_pairings(rs, lam)
     # the pairings of lam are those of t, permuted by v
     if min(map(abs, pl)) < 2 * rs.weyl_order + 2:
-        raise ValueError(f"{AffineElt(w, t)!r} is not superregular")
+        raise BudgetError(f"{AffineElt(w, t)!r} is not superregular")
     wv, near, far = cover_rows(rs, w, v)
     index = rs.root_index
 
@@ -510,17 +531,21 @@ def superregular_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
 
 def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
     """Case-tagged cocovers of a superregular x = w t_{v lam}, certified
-    against the cover enumeration; ValueError on any other x."""
+    against the cover enumeration; BudgetError on any other x."""
     rs = x.rs
     v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
-    lam = chamber_decompose(rs, x.t)[1]
+    pl = root_pairings(rs, chamber_decompose(rs, x.t)[1])
+    npos = len(rs.positive_roots)
     out = []
     for yw, yt, _d, (a, _avee, _wr, _dd, case) in near + far:
-        # the positive affine root of the reflection is -(v alpha) - n delta
-        beta = AffineRoot(v.act_root(a), _level(case, rs.pair(lam, a)))
-        if beta.is_positive():
+        # the positive affine root of the reflection is -(v alpha) - n delta,
+        # so v alpha + n delta must be negative; -(v alpha) has index j +- npos
+        k = rs.root_index[a]
+        j, n = v.perm[k], _level(case, pl[k])
+        if n > 0 or (n == 0 and j < npos):
             raise AssertionError("superregular cover reflection root unexpectedly positive")
-        out.append(CoverRecord(x, AffineElt(yw, yt), -beta, "near" if case < 3 else "far", case, a))
+        beta = AffineRoot(rs.roots[(j + npos) % (2 * npos)], -n)
+        out.append(CoverRecord(x, AffineElt(yw, yt), beta, "near" if case < 3 else "far", case, a))
     got = {(c.target, c.reflection_root) for c in out}
     want = {(c.target, c.reflection_root) for c in cocovers(x)}
     if got != want:
@@ -591,13 +616,22 @@ def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
 
 
 def reduced_word(x: AffineElt) -> tuple[int, ...]:
-    """A reduced word over I_af (0 = affine node, i = finite node i)."""
+    """A reduced word over I_af (0 = affine node, i = finite node i).
+
+    Node i, alpha_i = a + n delta, is a right descent of w t_lam iff
+    x . alpha_i = w a + (n - <lam, a>) delta < 0: the level is below 0, or
+    is 0 with w a negative.
+    """
     rs = x.rs
+    nodes, rows = _left_descent_data(rs)
+    npos = len(rs.positive_roots)
     out = []
     lx = length(x)
     while lx > 0:
-        for i, beta in enumerate(_affine_simple_roots(rs)):
-            if not x.act(beta).is_positive():
+        perm, t = x.w.perm, x.t
+        for i, (k, n, _s, _tau) in enumerate(nodes):
+            lvl = n - sum(map(mul, t, rows[k]))
+            if lvl < 0 or (lvl == 0 and perm[k] >= npos):
                 out.append(i)
                 x = x * affine_simple_reflection(rs, i)
                 lx -= 1

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +177,55 @@ def test_verify_reports_the_same_under_python_O(suite, run_python):
     checks = {"chevalley": 610, "compare": 4682, "lapointe-morse": 174, "operators": 375, "paper-examples": 8,
               "parabolic": 142, "peterson-borel": 204, "positivity": 4951, "tilted": 728}
     assert json.loads(plain.stdout)["checks"] == checks[suite]
+
+
+# the stdout of each command in the README's "Command line" block: the text
+# itself, or the sha256 of a long one
+README_OUTPUTS = {
+    'qaffine rootsys show --type B3':
+        'sha256:58f49debd8349d196d723c96ed9d9292c4695bc7f307a6e996ee88d8e0add7c6',
+    'qaffine weyl length --type A2 --word "0 1 2"':
+        '{"element": {"t": [0, 1], "w": "r1"}, "length": 3}',
+    'qaffine weyl covers --type A2 --w "r1" --t -1,0':
+        'sha256:bdf769d480a71c08328e126398f4b24d6faf6c1377a153ba60152e56309a639a',
+    'qaffine qbg export --type A2 --dot':
+        'sha256:6409ce8399495d93a98e2b9f161498ab1a74de69410eb6273b2d7a7f24063b4f',
+    'qaffine qbg tilted --type A2 --u id --w s1 --v "s1 s2"':
+        '{"d(u,v)": 2, "d(u,w)": 1, "tilted_leq": true}',
+    'qaffine qh product --type A1 --u s1 --v s1 --equivariant':
+        '{"(id,q1)": "1", "(s1,)": "a1"}',
+    'qaffine qh schubert-poly --type B2 --w "s2 s1"':
+        'sha256:8400b0129eba8822b7a8d44b3fb8ff536801bdae6d4b0bf86201517e02e37c7c',
+    'qaffine qh gw --type A2 --u s1 --v s2 --w id --qexp 1,1':
+        '{"coefficient": "0"}',
+    'qaffine gr product --type A1 --x 0 --z 0':
+        '{"denominator": [0], "product": {"{\\"t\\": [-1], \\"w\\": \\"id\\"}": 1}}',
+    'qaffine gr j-class --type A1 --w s1 --t -12':
+        'sha256:1f01a49bfebdd09b1200b8873f5f2c120dd165b601ca56dfbbae3574ff2984b4',
+    'qaffine gr pieri0 --type A2 --x 0':
+        '{"{\\"t\\": [-1, -1], \\"w\\": \\"r1 r2\\"}": 1, "{\\"t\\": [-1, -1], \\"w\\": \\"r2 r1\\"}": 1}',
+    'qaffine pi-p --type B3 --ip 2,3 --coroot -1,0,0':
+        '{"t": "-1,-2,-1", "w": "r2 r3 r2"}',
+    'qaffine pw-lift --type A3 --ip 2,3 --coset -1':
+        '{"I_P\'": [2], "lam_B": "-1,-1,-1", "v": "s2 s3"}',
+    'qaffine strange-dual --n 4 --j 2 --w "s1 s2"':
+        '{"(s3 s2,q^-1)": "1"}',
+    'qaffine lm-map --n 7 --j 4 --partition 3,2':
+        '{"s4 s5 s2 s3 s4": 1}',
+    'qaffine verify compare --type A2 --qdeg 2':
+        '{"checks": 731, "failures": [], "ok": true, "suite": "compare"}',
+}
+
+
+def test_readme_commands_print_pinned_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("qaffine ")]
+    assert commands == list(README_OUTPUTS)
+    for command, want in README_OUTPUTS.items():
+        code, out = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, command
+        if want.startswith("sha256:"):
+            assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == want, command
+        else:
+            assert out == want + "\n", command

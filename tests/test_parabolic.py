@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaffine import cartan, parabolic
-from qaffine.cartan import solve_rational
+from qaffine.cartan import AffineRoot, solve_rational
 from qaffine.coeffring import Scalar, scalar_one
 from qaffine.nilhecke import act_on_homology
 from qaffine.parabolic import (
@@ -34,6 +34,7 @@ from qaffine.peterson import hom_product_basis
 from qaffine.quantum import parabolic_chevalley, pw_lift
 from qaffine.weyl import (
     AffineElt,
+    _inversions,
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
@@ -42,9 +43,11 @@ from qaffine.weyl import (
     from_word,
     is_grassmannian,
     length,
+    longest_element,
     longest_of,
     reduced_word,
     simple_reflection,
+    superregular_antidominant,
     translation,
     weyl_identity,
 )
@@ -152,6 +155,41 @@ def test_in_wpaff():
     assert not in_WPaff(pd, AffineElt(simple_reflection(rs, 1), rs.zero_coroot()))
 
 
+def test_index_readers_match_the_action_on_affine_roots():
+    # in_WPaff, in_wp and the R_P inversions that pi_P strips, each against a
+    # reference that builds the roots and acts on them
+    rng = random.Random(64)
+    seen = set()
+    for lbl, nodes in [("A2", [0]), ("B2", [1]), ("G2", [0]), ("A3", [1, 2]), ("A3", [0, 2])]:
+        rs = cartan.build(lbl)
+        pd = build_parabolic(rs, nodes)
+        assert pd.rp_positive == tuple(rs.roots[k] for k in pd.rp_index)
+        betas = [AffineRoot(a, 0) for a in pd.rp_positive]
+        betas += [AffineRoot(tuple(-c for c in a), 1) for a in pd.rp_positive]
+        W = enumerate_weyl(rs)
+        for k in range(60):
+            if k % 3 == 2:
+                t = rng.choice(W).act_coroot(superregular_antidominant(rs))
+            else:
+                t = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+            x = AffineElt(rng.choice(W), t)
+            for y in (x, pi_P(pd, x)):
+                inside = all(y.act(beta).is_positive() for beta in betas)
+                assert in_WPaff(pd, y) == inside
+                want = []
+                for a in pd.rp_positive:
+                    for alpha, nmin in ((a, 0), (tuple(-c for c in a), 1)):
+                        top = rs.pair_root(y.t, alpha) + any(c < 0 for c in y.w.act_root(alpha))
+                        want += [AffineRoot(alpha, n) for n in range(nmin, top)]
+                assert list(_inversions(y, pd.rp_index)) == want
+                assert (not want) == inside  # pi_P stops exactly on (W^P)_af
+                seen.add(inside)
+            inverted = [a for a in rs.positive_roots if any(c < 0 for c in x.w.act_root(a))]
+            assert pd.in_wp(x.w) == all(a in pd.rp_positive for a in inverted)
+        assert pd.in_wp(pd.longest_wp()) and not pd.in_wp(longest_element(rs))
+    assert seen == {True, False}
+
+
 def test_pi_p_properties():
     rs = cartan.build("A3")
     pd = build_parabolic(rs, [1, 2])
@@ -217,7 +255,6 @@ def test_jp_ideal_stability():
     rs, pd = gr24()
     rng = random.Random(35)
     W = enumerate_weyl(rs)
-    from qaffine.cartan import AffineRoot
 
     # K(beta) membership for beta over (R_P)_af^+ at levels 0 and 1
     betas = [AffineRoot(a, 0) for a in pd.rp_positive]
@@ -253,7 +290,7 @@ def test_nilhecke_kills_pi_p_translations_mod_jp():
 def test_parabolic_basis_and_factor_roundtrip():
     rs, pd = gr24()
     for v in pd.minimal_reps():
-        x = parabolic_basis_element(pd, v, (0,))
+        x = parabolic_basis_element(pd, v)
         u, q = factor_parabolic(pd, x)
         assert u == v
 
@@ -303,10 +340,6 @@ def test_coset_of_the_wrong_length_is_rejected():
     for bad in [(), (-1, 5, 7)]:
         with pytest.raises(ValueError, match="coordinates"):
             pw_lift(pd, bad)
-    r1, e = simple_reflection(rs, 0), weyl_identity(rs)
-    for lam_p, mu_p in [((0, 3), None), (None, (0, 3)), ((), None)]:
-        with pytest.raises(ValueError, match="coordinates"):
-            quotient_product(pd, r1, e, lam_p=lam_p, mu_p=mu_p)
 
 
 def test_pw_transport_gr24():
@@ -331,6 +364,34 @@ def test_tau_and_star():
     assert star(rs) == (0, 3, 2, 1)  # i -> n - i on I, fixing 0
     with pytest.raises(ValueError):
         tau(cartan.build("B3"), 1 + 1)  # node 2 of B3 has mark 2
+
+
+def _tau_reference(rs, i):
+    vi = longest_element(rs) * longest_of(rs, [k for k in range(rs.rank) if k != i - 1])
+    simple = [rs.simple_root(k) for k in range(rs.rank)]
+    neg_theta = tuple(-c for c in rs.theta)
+    out = [simple.index(tuple(-c for c in vi.act_root(rs.theta))) + 1]
+    for a in simple:
+        img = vi.act_root(a)
+        out.append(0 if img == neg_theta else simple.index(img) + 1)
+    return tuple(out)
+
+
+def _star_reference(rs):
+    w0 = longest_element(rs)
+    simple = [rs.simple_root(k) for k in range(rs.rank)]
+    return (0,) + tuple(simple.index(tuple(-c for c in w0.act_root(a))) + 1 for a in simple)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+                                   "D4", "D5", "E6", "E7"])
+def test_tau_and_star_match_the_vector_reference(label):
+    rs = cartan.build(label)
+    specials = [i for i in range(1, rs.rank + 1) if rs.marks[i] == 1]
+    assert specials
+    for i in specials:
+        assert tau(rs, i) == _tau_reference(rs, i)
+    assert star(rs) == _star_reference(rs)
 
 
 def test_theta_cominuscule_sl4():

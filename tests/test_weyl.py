@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 import threading
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from qaffine import cartan, peterson
 from qaffine.cartan import AffineRoot
-from qaffine.qbruhat import build_qbg, endpoint_for_pair
+from qaffine.coeffring import scalar_one
+from qaffine.qbruhat import build_qbg, endpoint_for_pair, path_endpoint
 from qaffine.weyl import (
     AffineElt,
+    BudgetError,
+    _inversions,
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
@@ -314,6 +318,109 @@ def test_inversions_r0():
         rs = cartan.build(lbl)
         inv = inversions(affine_simple_reflection(rs, 0))
         assert inv == [AffineRoot(tuple(-c for c in rs.theta), 1)]
+
+
+def _vector_inversions(x, roots):
+    # the reference: build each root, act on it, test its sign and pair it
+    rs = x.rs
+    out = []
+    for a in roots:
+        for alpha, nmin in ((a, 0), (tuple(-c for c in a), 1)):
+            top = rs.pair_root(x.t, alpha) + any(c < 0 for c in x.w.act_root(alpha))
+            out += [AffineRoot(alpha, n) for n in range(nmin, top)]
+    return out
+
+
+def _vector_reduced_word(x):
+    # the reference: right descents read off x . alpha_i through AffineElt.act
+    rs = x.rs
+    simple = [AffineRoot(tuple(-c for c in rs.theta), 1)]
+    simple += [AffineRoot(rs.simple_root(i), 0) for i in range(rs.rank)]
+    out = []
+    while not x.is_identity():
+        i = next(i for i, beta in enumerate(simple) if not x.act(beta).is_positive())
+        out.append(i)
+        x = x * affine_simple_reflection(rs, i)
+    return tuple(reversed(out))
+
+
+def _random_elements(rs, rng, count):
+    # shallow translations, on walls or not, and deep superregular ones
+    W = enumerate_weyl(rs)
+    for k in range(count):
+        if k % 3 == 2:
+            t = rng.choice(W).act_coroot(superregular_antidominant(rs, units=rng.randint(0, 1)))
+        else:
+            t = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+        yield AffineElt(rng.choice(W), t)
+
+
+def test_inversions_read_indices_as_the_vector_reference():
+    rng = random.Random(61)
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        rs = cartan.build(lbl)
+        npos = len(rs.positive_roots)
+        for x in _random_elements(rs, rng, 30):
+            assert inversions(x) == _vector_inversions(x, rs.positive_roots)
+            # over a subset of the positive roots, as pi_P reads R_P^+
+            ks = sorted(rng.sample(range(npos), rng.randint(0, npos)))
+            assert list(_inversions(x, ks)) == _vector_inversions(x, [rs.roots[k] for k in ks])
+
+
+def test_reduced_word_matches_the_action_on_affine_roots():
+    rng = random.Random(62)
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        rs = cartan.build(lbl)
+        for x in _random_elements(rs, rng, 12):
+            word = reduced_word(x)
+            assert word == _vector_reduced_word(x)
+            assert len(word) == length(x) and affine_from_word(rs, word) == x
+
+
+def test_antidominant_and_regular_match_pair_root():
+    rng = random.Random(63)
+    seen = set()
+    for lbl in ["A2", "B2", "G2", "A3", "C3"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        for _ in range(60):
+            t = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+            if rng.random() < 0.3:
+                t = rng.choice(W).act_coroot(superregular_antidominant(rs))
+            anti = all(rs.pair_root(t, rs.simple_root(i)) <= 0 for i in range(rs.rank))
+            regular = all(rs.pair_root(t, a) != 0 for a in rs.positive_roots)
+            assert rs.is_antidominant(t) == anti and rs.is_regular(t) == regular
+            seen.add((anti, regular))
+        with pytest.raises(ValueError, match="dimension"):
+            rs.is_antidominant((0,) * (rs.rank + 1))
+        with pytest.raises(ValueError, match="dimension"):
+            rs.is_regular((1,) * (rs.rank + 1))
+    assert len(seen) == 4
+
+
+def test_an_exhausted_margin_raises_budget_error():
+    rs = cartan.build("A2")
+    e = weyl_identity(rs)
+    assert peterson.BudgetError is BudgetError and issubclass(BudgetError, ValueError)
+    with pytest.raises(BudgetError, match="not superregular"):
+        superregular_cocovers(rs, e, (-1, -1))
+    with pytest.raises(BudgetError):
+        cocovers_superregular(translation(rs, (-1, -1)))
+    g = build_qbg(rs)
+    with pytest.raises(BudgetError, match="superregular enough"):
+        path_endpoint([g.edges[e][0]], (-1, -1))
+
+
+def test_copies_of_elements_are_the_elements():
+    rs = cartan.build("A2")
+    w = from_word(rs, (0, 1))
+    assert copy.copy(w) is w and copy.deepcopy(w) is w
+    x = AffineElt(w, (-1, 2))
+    d = {x: scalar_one(rs), translation(rs, (0, -1)): scalar_one(rs)}
+    d2 = copy.deepcopy(d)
+    assert d2 == d
+    key = next(iter(d2))
+    assert key == x and key.w is w and hash(key) == hash(x)
 
 
 def test_reduced_word_translation_a1():
