@@ -5,7 +5,8 @@ integer coefficients, or Fractions where a coefficient is honestly rational:
 eliminations run over Q, and the quantum Schubert polynomials of B3, C3 and
 G2 keep non-integral coefficients (``with_int_coeffs`` stores the integral
 ones as ints).  Structure constants and j-classes are integral
-(``to_int_coeffs`` checks this).
+(``to_int_coeffs`` checks the former; ``peterson.j_class`` sums on ints over
+one common denominator and checks that it divides exactly).
 
 Monomials are packed exponent vectors (Monagan and Pearce, CASC 2007): the
 exponent of a_{i+1} sits in the ``FIELD``-bit field at bit ``FIELD * i`` of

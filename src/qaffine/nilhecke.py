@@ -4,44 +4,60 @@ reduction and the action on the homology of the affine Grassmannian.
 Elements are dicts ``AffineElt -> Scalar`` with coefficients written on the
 left of the basis.  The W_af-action on weights is the level-zero one
 (translations act trivially, the affine node acts by the highest-root
-reflection).  Centrality is certified by ``is_central`` in one exact pass
-over the element that needs no weight arithmetic.
+reflection).  Centrality is certified by ``is_central`` from one exact
+commutator, with the regular weight rho.
 """
 
 from .cartan import RootSystem
-from .coeffring import from_raw, omega_diff, packed_addmul, packed_axpy, settle
+from .coeffring import from_raw, packed_addmul, settle, weight_diff
 from .weyl import is_grassmannian, length, root_pairings, serialize, superregular_cocovers
 
 NilHeckeElt = dict  # AffineElt -> Scalar
 
 
 def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
-    """Whether a commutes with all scalars; the generators omega_i suffice.
+    """Whether a commutes with all scalars; one regular weight suffices.
 
     Domain: a is supported on superregular elements, as are the b-elements
     and j-classes the product path certifies; any other term raises
-    ValueError.  Every commutator [omega_i, a] is accumulated exactly, in one
-    pass over a, in one raw class keyed by (i, w, t), the parts of
-    y = w t_lam.  By the Kostant-Kumar commutation rule a term c A_x gives
-    c (omega_i - x.omega_i) at x, the cached ``omega_diff`` of the finite
-    part, and -c <beta^vee, omega_i> = c d[i] at each cocover y, read raw
-    from ``superregular_cocovers`` with no AffineElt built.  a is central iff
-    every commutator settles to 0.
+    BudgetError, a ValueError.  The certificate is the commutator
+    [rho, a], rho = sum omega_i.  By Kostant and Kumar, A_af embeds in
+    Q(S) # W_af, where a = sum f_x x gives [rho, a] = sum f_x (rho - x.rho) x
+    and translations act trivially.  As rho is regular, rho - w rho != 0 for
+    w != id, and Q(S) is a field; so [rho, a] = 0 iff a is supported on
+    translations, that is iff a commutes with every weight.
+
+    [rho, a] is accumulated exactly, in one pass over a, in one raw class
+    keyed by (w, t), the parts of y = w t_lam.  By the Kostant-Kumar
+    commutation rule a term c A_x gives c (rho - x.rho) at x, and
+    -c <beta^vee, rho> = c sum(d) at each cocover y, read raw from
+    ``superregular_cocovers`` with no AffineElt built; sum(d) != 0, as d is
+    a coroot.  a is central iff the commutator settles to 0.
     """
     acc: dict = {}
+    get = acc.get
+    rho = rs.rho
+    diffs: dict = {}  # x.w -> packed rho - x.w rho
     for x, cx in a.items():
         t = cx.packed
         xw, xt = x.w, x.t
-        for i in range(rs.rank):
-            d = omega_diff(rs, i, xw).packed
-            if d:
-                packed_addmul(acc, (i, xw, xt), t, d)
+        d = diffs.get(xw)
+        if d is None:
+            d = diffs[xw] = weight_diff(rs, rho, xw).packed
+        if d:
+            packed_addmul(acc, (xw, xt), t, d)
         _v, _wv, near, far = superregular_cocovers(rs, xw, xt)
         for entries in (near, far):
             for yw, yt, dy, _row in entries:
-                for i, di in enumerate(dy):
-                    if di:
-                        packed_axpy(acc, (i, yw, yt), t, di)
+                k = sum(dy)
+                key = (yw, yt)
+                row = get(key)
+                if row is None:
+                    acc[key] = {e: c * k for e, c in t.items()}
+                else:
+                    rget = row.get
+                    for e, c in t.items():
+                        row[e] = rget(e, 0) + c * k
     return not settle(acc)
 
 

@@ -5,12 +5,15 @@ elements (plain dicts ``AffineElt -> Scalar``); iterating the near operator
 over a Weyl-orbit of translations produces central elements, from which
 the affine Schubert classes, their products, and the isomorphism onto the
 localized quantum ring are computed.  ``B``, ``C`` and their twisted forms
-are rules (a diagonal and weighted near or far cocovers) over one kernel,
-which accumulates on raw packed dicts and settles once.  The b-elements of a
+are rules (a diagonal, and the near or far cocovers each with the coroot
+that weights it) over one kernel, which pairs each coroot with the weight
+once, accumulates on raw packed dicts and settles once.  The b-elements of a
 root system share one cached prefix trie, and each is certified central once.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
 from .coeffring import Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
@@ -43,18 +46,24 @@ def _require_margin(x: AffineElt, units: int = 1):
                           f"(pairing units beyond 2|W| + 2)")
 
 
-def _bruhat_operator(rs: RootSystem, f: GroupAlgebraElt, rule) -> GroupAlgebraElt:
-    """sum_x c_x (d_x x + sum k y), where rule(x, v, w v, near, far), given the
-    entries of ``superregular_cocovers`` for a superregular x = w t_{v lam},
-    gives the diagonal Scalar d_x and the weighted cocovers (k, y.w, y.t)."""
+def _bruhat_operator(rs: RootSystem, f: GroupAlgebraElt, mu: WeightVec, rule) -> GroupAlgebraElt:
+    """sum_x c_x (d_x x + sum <vec, mu> y), where rule(x, v, w v, near, far),
+    given the entries of ``superregular_cocovers`` for a superregular
+    x = w t_{v lam}, gives the diagonal Scalar d_x and the cocovers
+    (vec, y.w, y.t) with the coroot vec to pair with mu.  Each distinct vec
+    is paired once per call, and a y is built only for a nonzero weight."""
     out: dict = {}
+    weights: dict = {}  # vec -> <vec, mu>
     for x, c in f.items():
         _require_margin(x)
         diag, covers = rule(x, *superregular_cocovers(rs, x.w, x.t))
         t = c.packed
         if diag:
             packed_addmul(out, x, t, diag.packed)
-        for k, yw, yt in covers:
+        for vec, yw, yt in covers:
+            k = weights.get(vec)
+            if k is None:
+                k = weights[vec] = rs.pair_weight(vec, mu)
             if k:
                 packed_axpy(out, AffineElt(yw, yt), t, k)
     return from_raw(rs, settle(out))
@@ -63,30 +72,30 @@ def _bruhat_operator(rs: RootSystem, f: GroupAlgebraElt, rule) -> GroupAlgebraEl
 def b_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Near equivariant affine Bruhat operator B^mu: diagonal mu - w v mu, weights <alpha^vee, mu>."""
     def rule(x, v, wv, near, far):
-        return weight_diff(rs, mu, wv), ((rs.pair_weight(row[1], mu), yw, yt) for yw, yt, _d, row in near)
-    return _bruhat_operator(rs, f, rule)
+        return weight_diff(rs, mu, wv), ((row[1], yw, yt) for yw, yt, _d, row in near)
+    return _bruhat_operator(rs, f, mu, rule)
 
 
 def c_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Far equivariant affine Bruhat operator C^mu: diagonal mu - v mu, weights <alpha^vee, mu>."""
     def rule(x, v, wv, near, far):
-        return weight_diff(rs, mu, v), ((rs.pair_weight(row[1], mu), yw, yt) for yw, yt, _d, row in far)
-    return _bruhat_operator(rs, f, rule)
+        return weight_diff(rs, mu, v), ((row[1], yw, yt) for yw, yt, _d, row in far)
+    return _bruhat_operator(rs, f, mu, rule)
 
 
 def twisted_b(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Twisted near operator: diagonal v^{-1} mu - w mu, weights <v alpha^vee, mu> (the row's d)."""
     def rule(x, v, wv, near, far):
         diag = weight_diff(rs, mu, x.w) - weight_diff(rs, mu, v.inverse())
-        return diag, ((rs.pair_weight(d, mu), yw, yt) for yw, yt, d, _row in near)
-    return _bruhat_operator(rs, f, rule)
+        return diag, ((d, yw, yt) for yw, yt, d, _row in near)
+    return _bruhat_operator(rs, f, mu, rule)
 
 
 def twisted_c(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Twisted far operator: diagonal v^{-1} mu - mu, weights -<v alpha^vee, mu> (the row's d)."""
+    """Twisted far operator: diagonal v^{-1} mu - mu, weights -<v alpha^vee, mu> = <v alpha^vee, -mu>."""
     def rule(x, v, wv, near, far):
-        return -weight_diff(rs, mu, v.inverse()), ((-rs.pair_weight(d, mu), yw, yt) for yw, yt, d, _row in far)
-    return _bruhat_operator(rs, f, rule)
+        return -weight_diff(rs, mu, v.inverse()), ((d, yw, yt) for yw, yt, d, _row in far)
+    return _bruhat_operator(rs, f, tuple(-m for m in mu), rule)
 
 
 def sum_translations(rs: RootSystem, lam: CorootVec) -> GroupAlgebraElt:
@@ -161,21 +170,34 @@ def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
     """j(xi_x) for Grassmannian superregular x, via quantum Schubert polynomials.
 
     Characterized by centrality plus Grassmannian part exactly A_x; both are
-    certified.  Coefficients are integral polynomials in the simple roots.
+    certified.  Coefficients are integral polynomials in the simple roots:
+    the Schubert polynomial is scaled by den, the lcm of its coefficient
+    denominators, the b-elements are summed on ints, and each settled
+    coefficient is divided by den once; a remainder raises ValueError.
     """
     if not is_grassmannian(x):
         raise ValueError("j classes are indexed by Grassmannian elements")
     w = x.w
     lam = x.t
     _require_margin(x, units=j_units_needed(rs, w))
-    poly = schubert_poly(rs, w)
+    terms = schubert_poly(rs, w).terms
+    den = lcm(*(c.denominator for a in terms.values() for c in a.packed.values()))
     acc: dict = {}
-    for (qshift, word), a in poly.terms.items():
+    for (qshift, word), a in terms.items():
         shifted = tuple(l + s for l, s in zip(lam, qshift))
         b = b_element(rs, shifted, [rs.fundamental_weight(i) for i in word])
+        ad = {e: int(c * den) for e, c in a.packed.items()}
         for k, c in b.items():
-            packed_addmul(acc, k, c.packed, a.packed)
-    out = {k: c.to_int_coeffs() for k, c in from_raw(rs, settle(acc)).items()}
+            packed_addmul(acc, k, c.packed, ad)
+    raw = settle(acc)
+    if den != 1:
+        for t in raw.values():
+            for e, c in t.items():
+                q, r = divmod(c, den)
+                if r:
+                    raise ValueError(f"non-integral coefficient {Fraction(c, den)}")
+                t[e] = q
+    out = from_raw(rs, raw)
     if mod_J(out) != {x: scalar_one(rs)}:
         raise AssertionError("j class Grassmannian part is not A_x")
     if not is_central(rs, out):

@@ -53,6 +53,9 @@ class WeylElt:
     def __deepcopy__(self, memo):
         return self
 
+    def __reduce__(self):
+        raise TypeError("a WeylElt is not picklable: elements are canonical per root system")
+
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         return WeylElt(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
 

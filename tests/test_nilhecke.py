@@ -8,7 +8,7 @@ from conftest import combo_axpy
 from qaffine import cartan, nilhecke, peterson
 from qaffine.coeffring import MAX_EXP, Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
 from qaffine.nilhecke import act_on_homology, is_central, mod_J
-from qaffine.quantum import schubert_poly
+from qaffine.quantum import QSchubertPoly, schubert_poly
 from qaffine.weyl import (
     AffineElt,
     affine_from_word,
@@ -405,6 +405,69 @@ def test_is_central_matches_commutator_reference():
                 assert got == central_reference(rs, elt), (lbl, len(elt), got)
                 seen.add(got)
     assert seen == {True, False}
+
+
+def test_is_central_rejects_an_element_commuting_with_one_node():
+    # 1 - alpha_2 A_2 is the group element s_2, which fixes omega_1; so
+    # a = (sum_w t_{w lam}) s_2 commutes with omega_1 and not with omega_2, and
+    # a certificate on omega_1 alone would pass it: rho is regular, omega_1 is not
+    rs = cartan.build("A2")
+    e, r2 = affine_identity(rs), affine_simple_reflection(rs, 2)
+    a2 = Scalar.var(1, rs.rank)
+    s2 = {e: one(rs), r2: -a2}
+    assert commutator_with_weight(rs, s2, rs.fundamental_weight(0)) == {}
+    want = {e: a2, r2: -a2 * a2}
+    assert commutator_with_weight(rs, s2, rs.fundamental_weight(1)) == want
+    assert commutator_with_weight(rs, s2, rs.rho) == want
+    for lbl, size in [("A2", 9), ("B2", 12), ("G2", 18), ("A3", 36)]:
+        rs = cartan.build(lbl)
+        e, r2 = affine_identity(rs), affine_simple_reflection(rs, 2)
+        s2 = {e: one(rs), r2: -Scalar.var(1, rs.rank)}
+        a = product(rs, peterson.sum_translations(rs, superregular_antidominant(rs, units=2)), s2)
+        assert all(is_superregular(x) for x in a), lbl
+        assert len(a) == size, (lbl, len(a))
+        assert not commutator_with_weight(rs, a, rs.fundamental_weight(0)), lbl
+        assert commutator_with_weight(rs, a, rs.fundamental_weight(1)), lbl
+        assert not central_reference(rs, a) and not is_central(rs, a), lbl
+
+
+def j_class_over_fractions(rs, x):
+    """j(xi_x) the direct way: the b-elements weighted by the Schubert
+    polynomial's coefficients, Fractions where they are, then made integral."""
+    out = {}
+    for (qshift, word), c in schubert_poly(rs, x.w).terms.items():
+        shifted = tuple(l + s for l, s in zip(x.t, qshift))
+        for y, cy in peterson.b_element(rs, shifted, [rs.fundamental_weight(i) for i in word]).items():
+            combo_axpy(out, y, cy * c)
+    return {y: c.to_int_coeffs() for y, c in out.items()}
+
+
+def test_j_class_matches_the_fraction_route():
+    # B2 and G2 have Schubert polynomials with denominator 2
+    dens = set()
+    for lbl, max_len in [("A2", 3), ("B2", 4), ("G2", 3), ("A3", 2)]:
+        rs = cartan.build(lbl)
+        for w in enumerate_weyl(rs):
+            if w.length() <= max_len:
+                x = _jclass_input(rs, w)
+                j = peterson.j_class(rs, x)
+                assert j == j_class_over_fractions(rs, x), (lbl, w)
+                assert all(type(c) is int for s in j.values() for c in s.packed.values()), (lbl, w)
+                dens.update(c.denominator for s in schubert_poly(rs, w).terms.values() for c in s.packed.values())
+    assert dens == {1, 2}
+
+
+def test_j_class_refuses_a_non_integral_sum(monkeypatch):
+    # a planted 1/2 on the one coefficient 1 of A2's s_1 makes every
+    # coefficient of the sum 3/2 times an integral one
+    rs = cartan.build("A2")
+    w = simple_reflection(rs, 0)
+    poly = schubert_poly(rs, w)
+    assert list(poly.terms.values()) == [one(rs)]
+    planted = QSchubertPoly(w, {key: Scalar.const(Fraction(3, 2), rs.rank) for key in poly.terms})
+    monkeypatch.setattr(peterson, "schubert_poly", lambda rs, v: planted if v is w else schubert_poly(rs, v))
+    with pytest.raises(ValueError, match="non-integral coefficient 3/2"):
+        peterson.j_class(rs, _jclass_input(rs, w))
 
 
 def test_j_classes_make_one_check_each_plus_one_per_distinct_b_element(monkeypatch):

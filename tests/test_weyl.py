@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 import sys
 import threading
@@ -421,6 +422,16 @@ def test_copies_of_elements_are_the_elements():
     assert d2 == d
     key = next(iter(d2))
     assert key == x and key.w is w and hash(key) == hash(x)
+
+
+def test_pickling_an_element_fails_at_dumps():
+    # elements are canonical per root system; a pickle would carry a copy of
+    # the whole RootSystem and could not be loaded
+    rs = cartan.build("A2")
+    w = simple_reflection(rs, 0)
+    for obj in (w, AffineElt(w, (-1, 2))):
+        with pytest.raises(TypeError, match="canonical per root system"):
+            pickle.dumps(obj)
 
 
 def test_reduced_word_translation_a1():
