@@ -2,11 +2,13 @@
 
 ``Scalar`` is a sparse polynomial in the simple-root variables a1..ar with
 integer coefficients, or Fractions where a coefficient is honestly rational:
-eliminations run over Q, and the quantum Schubert polynomials of B3, C3 and
-G2 keep non-integral coefficients (``with_int_coeffs`` stores the integral
-ones as ints).  Structure constants and j-classes are integral
-(``to_int_coeffs`` checks the former; ``peterson.j_class`` sums on ints over
-one common denominator and checks that it divides exactly).
+eliminations run over Q, and the quantum Schubert polynomials of B3, C3, G2
+and D4 have non-integral coefficients.  A polynomial is stored once in integer
+form, integer numerators over one positive denominator (``reduced_form``),
+so both routes multiply on ints and divide once at the end
+(``divide_raw``).  Structure constants and j-classes are integral
+(``to_int_coeffs`` checks the former; ``peterson.j_class`` checks that its
+denominator divides exactly).
 
 Monomials are packed exponent vectors (Monagan and Pearce, CASC 2007): the
 exponent of a_{i+1} sits in the ``FIELD``-bit field at bit ``FIELD * i`` of
@@ -30,6 +32,7 @@ bits; where the keys are provably distinct the dict is built directly.
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import or_
 from types import MappingProxyType
 
@@ -373,3 +376,32 @@ def settle(raw: dict) -> dict:
             out[key] = t
     return out
 
+
+# -- integer form: integer numerators over one positive denominator ----------
+
+def reduced_form(den: int, num: dict) -> tuple[int, dict]:
+    """The integer form of the raw class num / den (int numerators, den > 0):
+    both divided by the gcd of den and every numerator."""
+    g = gcd(den, *(c for t in num.values() for c in t.values()))
+    if g == 1:
+        return den, num
+    return den // g, {k: {e: c // g for e, c in t.items()} for k, t in num.items()}
+
+
+def divide_raw(raw: dict, den: int) -> dict:
+    """The raw class raw / den for a positive int den, each integral quotient
+    an int and any other a Fraction.  den == 1 returns raw itself."""
+    if den == 1:
+        return raw
+    out = {}
+    for k, t in raw.items():
+        u = out[k] = {}
+        for e, c in t.items():
+            if type(c) is int:
+                q, r = divmod(c, den)
+                if not r:
+                    u[e] = q
+                    continue
+            x = Fraction(c, den)
+            u[e] = x.numerator if x.denominator == 1 else x
+    return out

@@ -13,7 +13,6 @@ root system share one cached prefix trie, and each is certified central once.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
 from .coeffring import Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
@@ -159,7 +158,7 @@ def j_units_needed(rs: RootSystem, w: WeylElt) -> int:
     """
     poly = schubert_poly(rs, w)
     worst = 1
-    for (qshift, word) in poly.terms:
+    for (qshift, word) in poly.num:
         qpair = max(map(abs, root_pairings(rs, qshift)))
         worst = max(worst, len(word) + (qpair + 3) // 4 + 1)
     return worst
@@ -171,22 +170,21 @@ def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
 
     Characterized by centrality plus Grassmannian part exactly A_x; both are
     certified.  Coefficients are integral polynomials in the simple roots:
-    the Schubert polynomial is scaled by den, the lcm of its coefficient
-    denominators, the b-elements are summed on ints, and each settled
-    coefficient is divided by den once; a remainder raises ValueError.
+    the b-elements are summed on the integer numerators of the Schubert
+    polynomial, and each settled coefficient is divided by its denominator
+    den once; a remainder raises ValueError.
     """
     if not is_grassmannian(x):
         raise ValueError("j classes are indexed by Grassmannian elements")
     w = x.w
     lam = x.t
     _require_margin(x, units=j_units_needed(rs, w))
-    terms = schubert_poly(rs, w).terms
-    den = lcm(*(c.denominator for a in terms.values() for c in a.packed.values()))
+    poly = schubert_poly(rs, w)
+    den = poly.den
     acc: dict = {}
-    for (qshift, word), a in terms.items():
+    for (qshift, word), ad in poly.num.items():
         shifted = tuple(l + s for l, s in zip(lam, qshift))
         b = b_element(rs, shifted, [rs.fundamental_weight(i) for i in word])
-        ad = {e: int(c * den) for e, c in a.packed.items()}
         for k, c in b.items():
             packed_addmul(acc, k, c.packed, ad)
     raw = settle(acc)

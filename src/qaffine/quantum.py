@@ -7,21 +7,27 @@ divisor classes: a quantum Schubert polynomial is extracted for each w once
 and certified by re-evaluation, after which any product is a composition of
 Chevalley operators.  Those compositions, and the Schubert-polynomial
 layers, accumulate raw classes in place and settle them once (see
-``coeffring``).  A polynomial is evaluated by Horner's rule over the prefix
-trie of its words, through the one kernel ``chevalley_into``, which adds its
-image into an accumulator its caller passes in.
+``coeffring``).  A polynomial is kept as integer numerators over one positive
+denominator and evaluated by Horner's rule over the prefix trie of its words
+on ints, through the one kernel ``chevalley_into``, which adds its image into
+an accumulator its caller passes in; the denominator divides once, at the
+root.  A product applies the polynomial with fewer terms to the other
+factor's class.
 """
 
 from dataclasses import dataclass
+from math import lcm
 from operator import add
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached, solve_rational
 from .coeffring import (
     Scalar,
+    divide_raw,
     from_raw,
     omega_diff,
     packed_addmul,
     packed_axpy,
+    reduced_form,
     scalar_one,
     settle,
     to_raw,
@@ -78,16 +84,24 @@ def chevalley_weight(rs: RootSystem, mu: WeightVec, sigma: QHClass) -> QHClass:
 
 @dataclass
 class QSchubertPoly:
-    """Sum of terms a * q^shift * omega-monomial, given as (qshift, word) -> a.
+    """Sum of terms (a / den) * q^shift * omega-monomial.
 
-    Words are sorted tuples of 0-based fundamental-weight indices; evaluating
-    the polynomial through the Chevalley operators returns the Schubert class
-    it represents, which ``schubert_poly`` certifies.  Integral coefficients
-    are stored as ints.
+    Stored once in integer form: ``num`` is the raw class (qshift, word) ->
+    packed integer numerators a, and ``den`` the one positive denominator,
+    the lcm of the coefficient denominators.  Words are sorted tuples of
+    0-based fundamental-weight indices; evaluating the polynomial through the
+    Chevalley operators returns the Schubert class it represents, which
+    ``schubert_poly`` certifies.
     """
 
     w: WeylElt
-    terms: dict  # (qshift tuple, word tuple) -> Scalar
+    num: dict  # (qshift tuple, word tuple) -> {packed monomial: int}
+    den: int
+
+    @property
+    def terms(self) -> dict:
+        """(qshift, word) -> Scalar: the rational coefficients, rebuilt."""
+        return from_raw(self.w.rs, divide_raw(self.num, self.den))
 
 
 class _PolyTable:
@@ -100,7 +114,8 @@ class _PolyTable:
         self.by_len: dict[int, list[WeylElt]] = {}
         for u in enumerate_weyl(rs):
             self.by_len.setdefault(u.length(), []).append(u)
-        self.polys: dict = {weyl_identity(rs): {(rs.zero_coroot(), ()): scalar_one(rs)}}
+        e = weyl_identity(rs)
+        self.polys: dict = {e: QSchubertPoly(e, {(rs.zero_coroot(), ()): {0: 1}}, 1)}
         self.built = 0
 
     def extend(self, rs: RootSystem, top: int) -> None:
@@ -115,24 +130,30 @@ class _PolyTable:
                         mat[(ur, (u, i))] = mat.get((ur, (u, i)), 0) + avee[i]
             sols = solve_rational(layer, unknowns, mat, [{target: 1} for target in layer])
             for target, sol in zip(layer, sols):
+                parts = [(x, u, i) for x, (u, i) in zip(sol, unknowns) if x]
+                # one common denominator for every multiplier, so the sum runs on ints
+                den = lcm(*(x.denominator * polys[u].den for x, u, _ in parts),
+                          *(x.denominator * polys[ur].den
+                            for x, u, i in parts for _a, avee, ur in cover_table(rs, u)[1] if avee[i]))
                 acc: dict = {}
-                for x, (u, i) in zip(sol, unknowns):
-                    if not x:
-                        continue
-                    if x.denominator == 1:
-                        x = int(x)
+                for x, u, i in parts:
                     # x * omega_i * S_u, minus the equivariant and quantum corrections
-                    for (q, word), c in polys[u].items():
-                        packed_axpy(acc, (q, tuple(sorted(word + (i,)))), c.packed, x)
-                    d = (omega_diff(rs, i, u) * -x).packed
+                    pu = polys[u]
+                    m = x.numerator * (den // (x.denominator * pu.den))
+                    for (q, word), c in pu.num.items():
+                        packed_axpy(acc, (q, tuple(sorted(word + (i,)))), c, m)
+                    d = (omega_diff(rs, i, u) * -m).packed
                     if d:
-                        for k, c in polys[u].items():
-                            packed_addmul(acc, k, c.packed, d)
-                    for a, avee, ur in cover_table(rs, u)[1]:
+                        for k, c in pu.num.items():
+                            packed_addmul(acc, k, c, d)
+                    for _a, avee, ur in cover_table(rs, u)[1]:
                         if avee[i]:
-                            for (q, word), c in polys[ur].items():
-                                packed_axpy(acc, (tuple(map(add, q, avee)), word), c.packed, -x * avee[i])
-                polys[target] = {k: c.with_int_coeffs() for k, c in from_raw(rs, settle(acc)).items()}
+                            pr = polys[ur]
+                            k = -x.numerator * avee[i] * (den // (x.denominator * pr.den))
+                            for (q, word), c in pr.num.items():
+                                packed_axpy(acc, (tuple(map(add, q, avee)), word), c, k)
+                tden, tnum = reduced_form(den, settle(acc))
+                polys[target] = QSchubertPoly(target, tnum, tden)
             self.built = l
 
 
@@ -146,14 +167,13 @@ def schubert_poly(rs: RootSystem, w: WeylElt) -> QSchubertPoly:
     """A deterministic equivariant quantum Schubert polynomial for sigma^w."""
     table = _poly_table(rs)
     table.extend(rs, w.length())
-    terms = table.polys[w]
     # coefficients may be honestly rational (outside simply-laced types the
     # degree-2 classes need not generate over Z); every evaluated class is
     # integral and product_basis checks that downstream
-    poly = QSchubertPoly(w, terms)
+    poly = table.polys[w]
     if evaluate_poly(rs, poly) != qh_basis(rs, w):
         raise AssertionError("Schubert polynomial round-trip failed")
-    if any(e < 0 for q, _word in terms for e in q):
+    if any(e < 0 for q, _word in poly.num for e in q):
         raise AssertionError("Schubert polynomial has a negative q-shift")
     return poly
 
@@ -163,34 +183,42 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly, start: QHClass | None = N
     round-trip oracle, so the image is the class the polynomial represents.
 
     Horner's rule over the prefix trie of the terms' words, on raw classes:
-    each term seeds its word's node with coefficient * q^shift * start, and
+    each term seeds its word's node with numerator * q^shift * start, and
     the nodes are taken from the longest to the shortest, each settled and
     pushed by the Chevalley step of its last letter into its parent's
     accumulator (multiplication by sigma^{r_i} is S[q]-linear and the steps
     commute).  So each distinct non-empty prefix costs one ``chevalley_into``
-    application, on the sum of its subtree, and the root is wrapped once.
+    application, on the sum of its subtree, and the root is divided by the
+    denominator and wrapped once.  An integral start runs on ints throughout.
     """
     if start is None:
         start = qh_basis(rs, weyl_identity(rs))
     seed = to_raw(start)
     nodes: dict = {(): {}}
-    for (q, word), c in poly.terms.items():
+    for (q, word), ct in poly.num.items():
         for k in range(1, len(word) + 1):
             nodes.setdefault(word[:k], {})
         acc = nodes[word]
-        ct = c.packed
         for (v, qv), t in seed.items():
             packed_addmul(acc, (v, tuple(map(add, qv, q))), t, ct)
     for word in sorted(nodes, key=len, reverse=True):
         if word:
             chevalley_into(rs, word[-1], settle(nodes.pop(word)), nodes[word[:-1]])
-    return from_raw(rs, settle(nodes[()]))
+    return from_raw(rs, divide_raw(settle(nodes[()]), poly.den))
 
 
 @cached("qhprod")
 def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
-    """sigma^u * sigma^v."""
-    out = evaluate_poly(rs, schubert_poly(rs, u), qh_basis(rs, v))
+    """sigma^u * sigma^v.
+
+    The product is commutative, so it applies the polynomial with fewer
+    terms to the other factor's class; ties go to the shorter element, then
+    to u.
+    """
+    pu, pv = schubert_poly(rs, u), schubert_poly(rs, v)
+    if (len(pv.num), v.length()) < (len(pu.num), u.length()):
+        pu, v = pv, u
+    out = evaluate_poly(rs, pu, qh_basis(rs, v))
     # rational bookkeeping must cancel: structure constants live in Z[alpha]
     return {k: c.to_int_coeffs() for k, c in out.items()}
 
@@ -208,25 +236,6 @@ def product(rs: RootSystem, a: QHClass, b: QHClass) -> QHClass:
 
 def gw_coefficient(rs: RootSystem, u: WeylElt, v: WeylElt, w: WeylElt, lam: CorootVec) -> Scalar:
     return product_basis(rs, u, v).get((w, tuple(lam)), Scalar())
-
-
-def specialize(rs: RootSystem, sigma: QHClass, mode: str):
-    """Evaluation maps: "q1" sets q = 1, "a0" sets alpha = 0, "both" does both."""
-    if mode == "q1":
-        out: dict = {}
-        for (w, q), c in sigma.items():
-            packed_axpy(out, w, c.packed, 1)
-        return from_raw(rs, settle(out))
-    if mode == "a0":
-        return {k: c.eval_zero() for k, c in sigma.items() if c.eval_zero()}
-    if mode == "both":
-        out = {}
-        for (w, q), c in sigma.items():
-            z = c.eval_zero()
-            if z:
-                out[w] = out.get(w, 0) + z
-        return {k: v for k, v in out.items() if v}
-    raise ValueError(f"unknown specialization {mode!r}")
 
 
 # -- parabolic Chevalley and the Peterson-Woodward lift ----------------------

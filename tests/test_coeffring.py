@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from qaffine import cartan
 from qaffine.coeffring import (
     Scalar,
+    divide_raw,
     from_raw,
     packed_axpy,
     q_str,
+    reduced_form,
     root_scalar,
     scalar_one,
     settle,
@@ -139,3 +142,29 @@ def test_eval_zero_and_positivity():
     assert s.is_nonneg_integral()
     assert not (s - a(0)).is_nonneg_integral()
     assert root_scalar(cartan.build("A2"), (1, 1)) == a(0) + a(1)
+
+
+def test_integer_form_round_trip():
+    rng = random.Random(11)
+    for _ in range(50):
+        raw = {}
+        for k in range(rng.randint(1, 3)):
+            t = {e: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6])) for e in range(rng.randint(1, 3))}
+            if any(t.values()):
+                raw[k] = {e: c for e, c in t.items() if c}
+        scale = 12 * rng.choice([1, 2, 5])
+        den, num = reduced_form(scale, {k: {e: int(c * scale) for e, c in t.items()} for k, t in raw.items()})
+        # den is the lcm of the coefficient denominators, numerators are ints
+        assert den == lcm(*(c.denominator for t in raw.values() for c in t.values()))
+        assert all(type(c) is int for t in num.values() for c in t.values())
+        back = divide_raw(num, den)
+        assert back == raw
+        # integral quotients come back as ints, the others as Fractions
+        assert all(type(back[k][e]) is (int if c.denominator == 1 else Fraction)
+                   for k, t in raw.items() for e, c in t.items())
+    assert divide_raw({0: {0: 4, 1: 3}}, 2) == {0: {0: 2, 1: Fraction(3, 2)}}
+    assert type(divide_raw({0: {0: Fraction(4, 3)}}, 4)[0][0]) is Fraction
+    assert type(divide_raw({0: {0: Fraction(8, 2)}}, 4)[0][0]) is int
+    assert reduced_form(4, {0: {0: 2, 1: 6}}) == (2, {0: {0: 1, 1: 3}})
+    num = {0: {0: 3}}
+    assert divide_raw(num, 1) is num and reduced_form(5, num) == (5, num)

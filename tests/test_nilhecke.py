@@ -464,7 +464,7 @@ def test_j_class_refuses_a_non_integral_sum(monkeypatch):
     w = simple_reflection(rs, 0)
     poly = schubert_poly(rs, w)
     assert list(poly.terms.values()) == [one(rs)]
-    planted = QSchubertPoly(w, {key: Scalar.const(Fraction(3, 2), rs.rank) for key in poly.terms})
+    planted = QSchubertPoly(w, {key: {0: 3} for key in poly.num}, 2)
     monkeypatch.setattr(peterson, "schubert_poly", lambda rs, v: planted if v is w else schubert_poly(rs, v))
     with pytest.raises(ValueError, match="non-integral coefficient 3/2"):
         peterson.j_class(rs, _jclass_input(rs, w))

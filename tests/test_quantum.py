@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import combo_axpy
 from qaffine import cartan, quantum
-from qaffine.coeffring import Scalar, scalar_one
+from qaffine.coeffring import Scalar, from_raw, packed_axpy, scalar_one, settle
 from qaffine.quantum import (
     QSchubertPoly,
     chevalley,
@@ -18,13 +19,39 @@ from qaffine.quantum import (
     product_basis,
     qh_basis,
     schubert_poly,
-    specialize,
 )
 from qaffine.weyl import enumerate_weyl, longest_element, simple_reflection, weyl_identity
 
 
 def s(rs, i):
     return simple_reflection(rs, i)
+
+
+def specialize(rs, sigma, mode):
+    """Evaluation maps: "q1" sets q = 1, "a0" sets alpha = 0, "both" does both."""
+    if mode == "q1":
+        out: dict = {}
+        for (w, q), c in sigma.items():
+            packed_axpy(out, w, c.packed, 1)
+        return from_raw(rs, settle(out))
+    if mode == "a0":
+        return {k: c.eval_zero() for k, c in sigma.items() if c.eval_zero()}
+    if mode == "both":
+        out = {}
+        for (w, q), c in sigma.items():
+            z = c.eval_zero()
+            if z:
+                out[w] = out.get(w, 0) + z
+        return {k: v for k, v in out.items() if v}
+    raise ValueError(f"unknown specialization {mode!r}")
+
+
+def integer_poly(w, terms):
+    """The QSchubertPoly of terms (qshift, word) -> Scalar, over the lcm of
+    its coefficient denominators."""
+    den = lcm(*(c.denominator for a in terms.values() for c in a.packed.values()))
+    num = {k: {e: int(c * den) for e, c in a.packed.items()} for k, a in terms.items()}
+    return QSchubertPoly(w, num, den)
 
 
 def test_chevalley_identity_class():
@@ -146,12 +173,66 @@ def test_product_a1():
 
 
 def test_commutativity_exhaustive():
+    # product_basis runs one evaluation for both orders, so compare the two
+    # evaluation orders directly
     for lbl in ["A1", "A2", "B2"]:
         rs = cartan.build(lbl)
         W = enumerate_weyl(rs)
         for u in W:
             for v in W:
-                assert product_basis(rs, u, v) == product_basis(rs, v, u)
+                uv = evaluate_poly(rs, schubert_poly(rs, u), qh_basis(rs, v))
+                assert uv == evaluate_poly(rs, schubert_poly(rs, v), qh_basis(rs, u))
+                assert product_basis(rs, u, v) == product_basis(rs, v, u) == uv
+
+
+@pytest.mark.parametrize("lbl,maxlen", [("A3", None), ("G2", None), ("B3", 3), ("C3", 3)])
+def test_both_evaluation_orders_agree_with_product_basis(lbl, maxlen):
+    rs = cartan.build(lbl)
+    W = [w for w in enumerate_weyl(rs) if maxlen is None or w.length() <= maxlen]
+    polys = {w: schubert_poly(rs, w) for w in W}
+    for u in W:
+        for v in W:
+            uv = evaluate_poly(rs, polys[u], qh_basis(rs, v))
+            assert uv == evaluate_poly(rs, polys[v], qh_basis(rs, u)), (lbl, u, v)
+            assert product_basis(rs, u, v) == uv, (lbl, u, v)
+
+
+def test_product_basis_evaluates_the_smaller_polynomial(monkeypatch):
+    rs = cartan.build("A3")
+    w0, s1 = longest_element(rs), s(rs, 0)
+    small, big = schubert_poly(rs, s1), schubert_poly(rs, w0)
+    assert len(small.num) < len(big.num)
+    prefixes = {word[:k] for (_q, word) in small.num for k in range(1, len(word) + 1)}
+    calls = []
+    real = quantum.chevalley_into
+
+    def counting(rs, i, raw, out):
+        calls.append(i)
+        return real(rs, i, raw, out)
+
+    monkeypatch.setattr(quantum, "chevalley_into", counting)
+    for u, v in [(w0, s1), (s1, w0)]:
+        calls.clear()
+        got = product_basis(rs, u, v)
+        assert len(calls) == len(prefixes) == 1, (u, v)
+        assert got == evaluate_poly(rs, big, qh_basis(rs, s1))
+
+
+def test_planted_wrong_coefficient_fails_the_round_trip():
+    rs = cartan.build("B3")
+    table = quantum._poly_table(rs)
+    table.extend(rs, 4)
+    w = next(w for w in table.by_len[4] if table.polys[w].den > 1)
+    poly = table.polys[w]
+    key, t = next(iter(poly.num.items()))
+    e = next(iter(t))
+    poly.num[key] = {**t, e: t[e] + 1}
+    with pytest.raises(AssertionError, match="round-trip failed"):
+        schubert_poly(rs, w)
+    # the untouched polynomials of the same layer still certify
+    for u in table.by_len[4]:
+        if u != w:
+            assert evaluate_poly(rs, schubert_poly(rs, u)) == qh_basis(rs, u)
 
 
 def test_divisor_associativity():
@@ -211,10 +292,11 @@ def test_general_product_bilinear():
     assert ab == expect
 
 
-def _reference_evaluate(rs, poly, start):
-    # one Chevalley chain per term, from start, with no sharing between terms
+def _reference_evaluate(rs, terms, start):
+    # one Chevalley chain per term (qshift, word) -> Scalar, from start, with
+    # no sharing between terms
     out = {}
-    for (q, word), c in poly.terms.items():
+    for (q, word), c in terms.items():
         cur = start
         for i in word:
             cur = chevalley(rs, i, cur)
@@ -229,10 +311,10 @@ def test_product_and_evaluate_match_per_term_reference():
         W = [w for w in enumerate_weyl(rs) if maxlen is None or w.length() <= maxlen]
         for u in W:
             poly = schubert_poly(rs, u)
-            ref = _reference_evaluate(rs, poly, qh_basis(rs, weyl_identity(rs)))
+            ref = _reference_evaluate(rs, poly.terms, qh_basis(rs, weyl_identity(rs)))
             assert evaluate_poly(rs, poly) == ref == qh_basis(rs, u)
             for v in W:
-                ref = _reference_evaluate(rs, poly, qh_basis(rs, v))
+                ref = _reference_evaluate(rs, poly.terms, qh_basis(rs, v))
                 assert evaluate_poly(rs, poly, qh_basis(rs, v)) == ref
                 got = product_basis(rs, u, v)
                 assert got == {k: c.to_int_coeffs() for k, c in ref.items()}
@@ -277,19 +359,25 @@ def test_evaluate_poly_matches_per_term_reference_on_synthetic_polys(label, data
     keys = data.draw(st.lists(st.tuples(st.sampled_from(enumerate_weyl(rs)), st.tuples(*[st.integers(0, 1)] * r)),
                               min_size=2, max_size=3, unique=True))
     start = {k: data.draw(coeffs) for k in keys}
-    poly = QSchubertPoly(weyl_identity(rs), terms)
-    assert evaluate_poly(rs, poly, start) == _reference_evaluate(rs, poly, start)
+    poly = integer_poly(weyl_identity(rs), terms)
+    assert poly.terms == terms
+    assert evaluate_poly(rs, poly, start) == _reference_evaluate(rs, terms, start)
 
 
 def test_integral_poly_coefficients_stored_as_int():
     rs = cartan.build("B3")
     rational = 0
     for w in enumerate_weyl(rs):
-        for c in schubert_poly(rs, w).terms.values():
+        poly = schubert_poly(rs, w)
+        # integer numerators over the lcm of the coefficient denominators
+        assert all(type(x) is int for t in poly.num.values() for x in t.values())
+        dens = [x.denominator for c in poly.terms.values() for x in c.terms.values()]
+        assert poly.den == lcm(*dens)
+        for c in poly.terms.values():
             for x in c.terms.values():
                 assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
                 rational += type(x) is Fraction
-    # B3 needs honestly rational coefficients, so the Fraction path stays in use
+    # B3 needs honestly rational coefficients, so the division at the root stays in use
     assert rational > 0
 
 
