@@ -11,8 +11,9 @@ layers, accumulate raw classes in place and settle them once (see
 denominator and evaluated by Horner's rule over the prefix trie of its words
 on ints, through the one kernel ``chevalley_into``, which adds its image into
 an accumulator its caller passes in; the denominator divides once, at the
-root.  A product applies the polynomial with fewer terms to the other
-factor's class.
+root.  A product applies the shorter factor's polynomial to the other
+factor's class, or the longer factor's where that one is already certified
+and has fewer terms.
 """
 
 from dataclasses import dataclass
@@ -211,14 +212,20 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly, start: QHClass | None = N
 def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
     """sigma^u * sigma^v.
 
-    The product is commutative, so it applies the polynomial with fewer
-    terms to the other factor's class; ties go to the shorter element, then
-    to u.
+    The product is commutative, so it applies one factor's polynomial to the
+    other factor's class.  It extracts only the polynomial of the shorter
+    factor (of u on equal lengths), which builds no more of the table than
+    u's would.  The longer factor's polynomial is read only where
+    ``schubert_poly`` has already certified it, and then the polynomial with
+    fewer terms is evaluated, ties going to the shorter factor.
     """
-    pu, pv = schubert_poly(rs, u), schubert_poly(rs, v)
-    if (len(pv.num), v.length()) < (len(pu.num), u.length()):
-        pu, v = pv, u
-    out = evaluate_poly(rs, pu, qh_basis(rs, v))
+    short, other = (v, u) if v.length() < u.length() else (u, v)
+    poly = schubert_poly(rs, short)
+    # cached() keeps schubert_poly's results under ("qschub", w)
+    known = rs._cache.get(("qschub", other))
+    if known is not None and len(known.num) < len(poly.num):
+        poly, other = known, short
+    out = evaluate_poly(rs, poly, qh_basis(rs, other))
     # rational bookkeeping must cancel: structure constants live in Z[alpha]
     return {k: c.to_int_coeffs() for k, c in out.items()}
 

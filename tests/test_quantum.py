@@ -20,7 +20,7 @@ from qaffine.quantum import (
     qh_basis,
     schubert_poly,
 )
-from qaffine.weyl import enumerate_weyl, longest_element, simple_reflection, weyl_identity
+from qaffine.weyl import enumerate_weyl, from_word, longest_element, simple_reflection, weyl_identity
 
 
 def s(rs, i):
@@ -216,6 +216,39 @@ def test_product_basis_evaluates_the_smaller_polynomial(monkeypatch):
         got = product_basis(rs, u, v)
         assert len(calls) == len(prefixes) == 1, (u, v)
         assert got == evaluate_poly(rs, big, qh_basis(rs, s1))
+
+
+def test_product_basis_extracts_only_the_shorter_polynomial():
+    # a product with w0 builds the table no further than its short factor
+    rs = cartan.build("B3")
+    w0, s1 = longest_element(rs), s(rs, 0)
+    for u, v in [(s1, w0), (w0, s1)]:
+        got = product_basis(rs, u, v)
+        assert quantum._poly_table(rs).built == 1
+        assert got == evaluate_poly(rs, schubert_poly(rs, s1), qh_basis(rs, w0))
+    gw_coefficient(rs, w0, s1, w0, (0, 0, 0))
+    assert quantum._poly_table(rs).built == 1
+
+
+def test_product_basis_reads_a_longer_polynomial_once_certified(monkeypatch):
+    rs = cartan.build("A3")
+    short, long_ = from_word(rs, (0, 1, 2, 1)), from_word(rs, (0, 1, 2, 1, 0))
+    seen = []
+    real = quantum.evaluate_poly
+
+    def recording(rs, poly, start=None):
+        if start is not None:
+            seen.append(poly.w)
+        return real(rs, poly, start)
+
+    monkeypatch.setattr(quantum, "evaluate_poly", recording)
+    # the longer polynomial has fewer terms, but is not read before it is certified
+    cold = product_basis(rs, long_, short)
+    assert seen == [short] and quantum._poly_table(rs).built == 4
+    assert len(schubert_poly(rs, long_).num) < len(schubert_poly(rs, short).num)
+    seen.clear()
+    assert product_basis(rs, short, long_) == cold
+    assert seen == [long_]
 
 
 def test_planted_wrong_coefficient_fails_the_round_trip():
