@@ -7,17 +7,20 @@ the affine Schubert classes, their products, and the isomorphism onto the
 localized quantum ring are computed.  ``B``, ``C`` and their twisted forms
 are rules (a diagonal, and the near or far cocovers each with the coroot
 that weights it) over one kernel, which pairs each coroot with the weight
-once, accumulates on raw packed dicts and settles once.  The b-elements of a
-root system share one cached prefix trie, and each is certified central once.
+once, accumulates on raw packed dicts and settles once.  A j-class is the
+quantum Schubert polynomial of its Weyl part evaluated at the commuting
+operators B^{omega_i} by ``quantum.horner``, the routine that also evaluates
+the polynomials on the quantum route, so no b-element is built on the product
+path; the class itself is certified.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
-from .coeffring import Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
+from .coeffring import Scalar, divide_raw, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
 from .nilhecke import NilHeckeElt, act_on_homology, is_central, mod_J
-from .quantum import QHClass, gw_coefficient, schubert_poly
+from .quantum import QHClass, gw_coefficient, horner, schubert_poly
 from .weyl import (
     AffineElt,
     BudgetError,
@@ -120,34 +123,17 @@ def theta_map(rs: RootSystem, w: WeylElt, lam: CorootVec, sigma: QHClass) -> Gro
 
 
 def b_element(rs: RootSystem, lam: CorootVec, mu_seq) -> NilHeckeElt:
-    """b(lam; mu^1..mu^k) = Upsilon(B^{mu^k} ... B^{mu^1} sum_w t_{w lam}); central.
-
-    Upsilon, the left S-module identification x -> A_x, is the identity on
-    the dicts.  The result is cached and shared: callers must not mutate it.
-    """
-    x0 = translation(rs, lam)
+    """b(lam; mu^1..mu^k) = Upsilon(B^{mu^k} ... B^{mu^1} sum_w t_{w lam}),
+    certified central; Upsilon (x -> A_x) is the identity on the dicts."""
     if not rs.is_antidominant(lam):
         raise ValueError("lam must be antidominant")
-    _require_margin(x0, units=len(mu_seq))
-    return _certified_b(rs, tuple(lam), tuple(map(tuple, mu_seq)))
-
-
-@cached("b_certified")
-def _certified_b(rs: RootSystem, lam: CorootVec, mus: tuple) -> NilHeckeElt:
-    """The chain of (lam, mus), certified central once; a failure caches nothing."""
-    a = _b_chain(rs, lam, mus)
+    _require_margin(translation(rs, lam), units=len(mu_seq))
+    a = sum_translations(rs, lam)
+    for mu in mu_seq:
+        a = b_op(rs, mu, a)
     if not is_central(rs, a):
         raise AssertionError("b element failed centrality")
     return a
-
-
-@cached("b_chain")
-def _b_chain(rs: RootSystem, lam: CorootVec, mus: tuple) -> GroupAlgebraElt:
-    """B^{mus[-1]} ... B^{mus[0]} sum_w t_{w lam}: one b_op on the cached parent
-    prefix, so b-elements that share (lam, a prefix) share its chain."""
-    if not mus:
-        return sum_translations(rs, lam)
-    return b_op(rs, mus[-1], _b_chain(rs, lam, mus[:-1]))
 
 
 def j_units_needed(rs: RootSystem, w: WeylElt) -> int:
@@ -166,35 +152,32 @@ def j_units_needed(rs: RootSystem, w: WeylElt) -> int:
 
 @cached("jclass")
 def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
-    """j(xi_x) for Grassmannian superregular x, via quantum Schubert polynomials.
+    """j(xi_x) for Grassmannian superregular x = w t_lam: the quantum
+    Schubert polynomial of w at the operators B^{omega_i}.
 
-    Characterized by centrality plus Grassmannian part exactly A_x; both are
-    certified.  Coefficients are integral polynomials in the simple roots:
-    the b-elements are summed on the integer numerators of the Schubert
-    polynomial, and each settled coefficient is divided by its denominator
-    den once; a remainder raises ValueError.
+    ``quantum.horner`` seeds a term a q^shift omega^word with
+    a sum_v t_{v(lam + shift)} and steps by ``b_op`` (S-linear, and the B
+    operators commute), on the integer numerators; the root is divided by
+    the denominator once, and a remainder raises ValueError.  Centrality and
+    a Grassmannian part of exactly A_x characterize j_x; both are certified.
     """
     if not is_grassmannian(x):
         raise ValueError("j classes are indexed by Grassmannian elements")
-    w = x.w
-    lam = x.t
-    _require_margin(x, units=j_units_needed(rs, w))
-    poly = schubert_poly(rs, w)
-    den = poly.den
-    acc: dict = {}
-    for (qshift, word), ad in poly.num.items():
-        shifted = tuple(l + s for l, s in zip(lam, qshift))
-        b = b_element(rs, shifted, [rs.fundamental_weight(i) for i in word])
-        for k, c in b.items():
-            packed_addmul(acc, k, c.packed, ad)
-    raw = settle(acc)
-    if den != 1:
-        for t in raw.values():
-            for e, c in t.items():
-                q, r = divmod(c, den)
-                if r:
-                    raise ValueError(f"non-integral coefficient {Fraction(c, den)}")
-                t[e] = q
+    _require_margin(x, units=j_units_needed(rs, x.w))
+    poly = schubert_poly(rs, x.w)
+
+    def put(acc, q, a):
+        for y, c in sum_translations(rs, tuple(map(add, x.t, q))).items():
+            packed_addmul(acc, y, c.packed, a)
+
+    def step(i, raw, out):
+        for y, c in b_op(rs, rs.fundamental_weight(i), from_raw(rs, raw)).items():
+            packed_axpy(out, y, c.packed, 1)
+
+    raw = divide_raw(horner(poly, put, step), poly.den)
+    bad = next((c for t in raw.values() for c in t.values() if type(c) is not int), None)
+    if bad is not None:
+        raise ValueError(f"non-integral coefficient {bad}")
     out = from_raw(rs, raw)
     if mod_J(out) != {x: scalar_one(rs)}:
         raise AssertionError("j class Grassmannian part is not A_x")

@@ -8,12 +8,12 @@ and certified by re-evaluation, after which any product is a composition of
 Chevalley operators.  Those compositions, and the Schubert-polynomial
 layers, accumulate raw classes in place and settle them once (see
 ``coeffring``).  A polynomial is kept as integer numerators over one positive
-denominator and evaluated by Horner's rule over the prefix trie of its words
-on ints, through the one kernel ``chevalley_into``, which adds its image into
-an accumulator its caller passes in; the denominator divides once, at the
-root.  A product applies the shorter factor's polynomial to the other
-factor's class, or the longer factor's where that one is already certified
-and has fewer terms.
+denominator and evaluated on ints by ``horner``, Horner's rule over the prefix
+trie of its words, with the one kernel ``chevalley_into`` as its step (the
+affine route runs it with the Bruhat operators); the denominator divides
+once, at the root.  A product applies the shorter factor's polynomial to the
+other factor's class, or the longer factor's where that one is already
+certified and has fewer terms.
 """
 
 from dataclasses import dataclass
@@ -179,33 +179,46 @@ def schubert_poly(rs: RootSystem, w: WeylElt) -> QSchubertPoly:
     return poly
 
 
+def horner(poly: QSchubertPoly, put, step) -> dict:
+    """Horner's rule over the prefix trie of the words: the settled root,
+    not yet divided by ``poly.den``.
+
+    ``put(acc, q, a)`` adds numerator a times the seed of q-shift q into a
+    word's raw accumulator; ``step(i, raw, out)`` adds the image of ``raw``
+    under the operator of letter i into ``out``.  Nodes go from the longest
+    to the shortest, each settled and stepped into its parent, so the
+    operators must be coefficient-linear and commute; each distinct non-empty
+    prefix costs one step, on the sum of its subtree.
+    """
+    nodes: dict = {(): {}}
+    for (q, word), a in poly.num.items():
+        for k in range(1, len(word) + 1):
+            nodes.setdefault(word[:k], {})
+        put(nodes[word], q, a)
+    for word in sorted(nodes, key=len, reverse=True):
+        if word:
+            step(word[-1], settle(nodes.pop(word)), nodes[word[:-1]])
+    return settle(nodes[()])
+
+
 def evaluate_poly(rs: RootSystem, poly: QSchubertPoly, start: QHClass | None = None) -> QHClass:
     """The polynomial applied to ``start``; the default sigma^id gives the
     round-trip oracle, so the image is the class the polynomial represents.
 
-    Horner's rule over the prefix trie of the terms' words, on raw classes:
-    each term seeds its word's node with numerator * q^shift * start, and
-    the nodes are taken from the longest to the shortest, each settled and
-    pushed by the Chevalley step of its last letter into its parent's
-    accumulator (multiplication by sigma^{r_i} is S[q]-linear and the steps
-    commute).  So each distinct non-empty prefix costs one ``chevalley_into``
-    application, on the sum of its subtree, and the root is divided by the
-    denominator and wrapped once.  An integral start runs on ints throughout.
+    ``horner`` with the Chevalley step (S[q]-linear, and the steps commute)
+    and numerator * q^shift * start as a term's seed.  An integral start runs
+    on ints throughout.
     """
     if start is None:
         start = qh_basis(rs, weyl_identity(rs))
     seed = to_raw(start)
-    nodes: dict = {(): {}}
-    for (q, word), ct in poly.num.items():
-        for k in range(1, len(word) + 1):
-            nodes.setdefault(word[:k], {})
-        acc = nodes[word]
+
+    def put(acc, q, a):
         for (v, qv), t in seed.items():
-            packed_addmul(acc, (v, tuple(map(add, qv, q))), t, ct)
-    for word in sorted(nodes, key=len, reverse=True):
-        if word:
-            chevalley_into(rs, word[-1], settle(nodes.pop(word)), nodes[word[:-1]])
-    return from_raw(rs, divide_raw(settle(nodes[()]), poly.den))
+            packed_addmul(acc, (v, tuple(map(add, qv, q))), t, a)
+
+    root = horner(poly, put, lambda i, raw, out: chevalley_into(rs, i, raw, out))
+    return from_raw(rs, divide_raw(root, poly.den))
 
 
 @cached("qhprod")

@@ -443,17 +443,17 @@ def j_class_over_fractions(rs, x):
 
 
 def test_j_class_matches_the_fraction_route():
-    # B2 and G2 have Schubert polynomials with denominator 2
+    # every Weyl element of each type; B2 and G2 have Schubert polynomials
+    # with denominator 2
     dens = set()
-    for lbl, max_len in [("A2", 3), ("B2", 4), ("G2", 3), ("A3", 2)]:
+    for lbl in ["A2", "B2", "G2", "A3"]:
         rs = cartan.build(lbl)
         for w in enumerate_weyl(rs):
-            if w.length() <= max_len:
-                x = _jclass_input(rs, w)
-                j = peterson.j_class(rs, x)
-                assert j == j_class_over_fractions(rs, x), (lbl, w)
-                assert all(type(c) is int for s in j.values() for c in s.packed.values()), (lbl, w)
-                dens.update(c.denominator for s in schubert_poly(rs, w).terms.values() for c in s.packed.values())
+            x = _jclass_input(rs, w)
+            j = peterson.j_class(rs, x)
+            assert j == j_class_over_fractions(rs, x), (lbl, w)
+            assert all(type(c) is int for s in j.values() for c in s.packed.values()), (lbl, w)
+            dens.update(c.denominator for s in schubert_poly(rs, w).terms.values() for c in s.packed.values())
     assert dens == {1, 2}
 
 
@@ -470,26 +470,35 @@ def test_j_class_refuses_a_non_integral_sum(monkeypatch):
         peterson.j_class(rs, _jclass_input(rs, w))
 
 
-def test_j_classes_make_one_check_each_plus_one_per_distinct_b_element(monkeypatch):
-    # every b-element a j-class consumes is certified, once per root system
-    calls = 0
+def test_j_classes_make_one_check_each_and_one_b_op_per_prefix(monkeypatch):
+    # a j-class evaluates its polynomial at the B operators over the word trie
+    # of its polynomial, builds no b-element, and only the class is certified
+    central = ops = 0
+    real_b_op = peterson.b_op
 
-    def counting(rs, a):
-        nonlocal calls
-        calls += 1
+    def counting_central(rs, a):
+        nonlocal central
+        central += 1
         return is_central(rs, a)
 
-    monkeypatch.setattr(nilhecke, "is_central", counting)
-    monkeypatch.setattr(peterson, "is_central", counting)
+    def counting_b_op(rs, mu, f):
+        nonlocal ops
+        ops += 1
+        return real_b_op(rs, mu, f)
+
+    monkeypatch.setattr(nilhecke, "is_central", counting_central)
+    monkeypatch.setattr(peterson, "is_central", counting_central)
+    monkeypatch.setattr(peterson, "b_op", counting_b_op)
     for lbl, max_len in [("B2", 4), ("G2", 3)]:
         rs = cartan.build(lbl)
-        calls = 0
-        xs = [_jclass_input(rs, w) for w in enumerate_weyl(rs) if w.length() <= max_len]
-        b_keys = {(tuple(l + s for l, s in zip(x.t, qshift)), word)
-                  for x in xs for qshift, word in schubert_poly(rs, x.w).terms}
-        for x in xs:
-            peterson.j_class(rs, x)
-        assert calls == len(xs) + len(b_keys) < len(xs) + sum(len(schubert_poly(rs, x.w).terms) for x in xs), lbl
+        for w in enumerate_weyl(rs):
+            if w.length() <= max_len:
+                x = _jclass_input(rs, w)
+                words = {word for _q, word in schubert_poly(rs, w).num}
+                central = ops = 0
+                peterson.j_class(rs, x)
+                assert central == 1, (lbl, w)
+                assert ops == len({word[:k] for word in words for k in range(1, len(word) + 1)}), (lbl, w)
 
 
 def naive_act_on_homology(rs, a, xi):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import combo_axpy
-from qaffine import cartan, peterson
+from qaffine import cartan, peterson, quantum
 from qaffine.coeffring import Scalar, scalar_one, weight_diff
 from qaffine.nilhecke import is_central, mod_J
 from qaffine.peterson import (
@@ -27,7 +27,7 @@ from qaffine.peterson import (
     twisted_b,
     twisted_c,
 )
-from qaffine.quantum import product_basis, qh_basis
+from qaffine.quantum import product_basis, qh_basis, schubert_poly
 from qaffine.weyl import (
     AffineElt,
     affine_simple_reflection,
@@ -227,30 +227,18 @@ def _uncached_b(rs, lam, seq):
 
 
 @pytest.mark.parametrize("lbl", ["A2", "B2", "G2"])
-def test_cached_b_element_matches_uncached_chain(lbl, monkeypatch):
+def test_b_element_matches_uncached_chain(lbl):
     rng = random.Random(31)
     rs = cartan.build(lbl)
     lam = superregular_antidominant(rs, units=4)
     stems = [[tuple(rng.randint(-1, 2) for _ in range(rs.rank)) for _ in range(rng.randint(1, 2))] for _ in range(3)]
     seqs = [[]] + [rng.choice(stems)[:rng.randint(1, 2)] + [rs.fundamental_weight(rng.randrange(rs.rank))
                                                            for _ in range(rng.randint(0, 1))] for _ in range(10)]
-    calls = 0
-
-    def counting(rs, mu, f):
-        nonlocal calls
-        calls += 1
-        return b_op(rs, mu, f)
-
-    monkeypatch.setattr(peterson, "b_op", counting)
-    got = [b_element(rs, lam, seq) for seq in seqs]
-    # one b_op per distinct non-empty prefix: sequences share their common prefixes
-    assert calls == len({tuple(seq[:k]) for seq in seqs for k in range(1, len(seq) + 1)}) < sum(map(len, seqs))
-    monkeypatch.undo()
-    for seq, b in zip(seqs, got):
-        assert b == _uncached_b(rs, lam, seq), (lbl, seq)
+    for seq in seqs:
+        assert b_element(rs, lam, seq) == _uncached_b(rs, lam, seq), (lbl, seq)
 
 
-def test_failed_b_certificate_is_not_cached(monkeypatch):
+def test_failed_b_certificate_raises(monkeypatch):
     rs = cartan.build("A2")
     lam = superregular_antidominant(rs, units=2)
     seq = [(1, 0), (0, 1)]
@@ -292,6 +280,44 @@ def test_j_class_matches_b_element():
     for i in range(2):
         x = AffineElt(simple_reflection(rs, i), lam)
         assert j_class(rs, x) == b_element(rs, lam, [rs.fundamental_weight(i)])
+
+
+def _skipping_first_step(horner):
+    """A mutant of ``horner`` that drops the step of the first node it
+    pushes, a longest word of the polynomial, with that node's subtree."""
+    def mutant(poly, put, step):
+        pushed = []
+
+        def skipping(i, raw, out):
+            if pushed:
+                step(i, raw, out)
+            pushed.append(i)
+
+        return horner(poly, put, skipping)
+    return mutant
+
+
+@pytest.mark.parametrize("lbl", ["A2", "B2", "G2"])
+def test_horner_skipping_one_step_fails_both_certificates(lbl, monkeypatch):
+    def long_elements(rs):
+        return [w for w in enumerate_weyl(rs) if w.length() >= 2]
+
+    rs = cartan.build(lbl)
+    with monkeypatch.context() as m:
+        m.setattr(quantum, "horner", _skipping_first_step(quantum.horner))
+        for w in long_elements(rs):
+            with pytest.raises(AssertionError, match="round-trip failed"):
+                schubert_poly(rs, w)
+    rs = cartan.build(lbl)
+    ws = long_elements(rs)
+    assert len(ws) == {"A2": 3, "B2": 5, "G2": 9}[lbl]
+    for w in ws:
+        schubert_poly(rs, w)  # certified through the real routine
+    monkeypatch.setattr(peterson, "horner", _skipping_first_step(quantum.horner))
+    for w in ws:
+        x = AffineElt(w, superregular_antidominant(rs, units=peterson.j_units_needed(rs, w)))
+        with pytest.raises((AssertionError, ValueError), match="Grassmannian part|non-integral|not central"):
+            j_class(rs, x)
 
 
 def test_hom_product_translation():
