@@ -1,18 +1,51 @@
-"""The affine nilHecke ring on the product path: centrality, mod-J
-reduction and the action on the homology of the affine Grassmannian.
+"""The affine nilHecke ring on the product path: the Kostant-Kumar kernel,
+centrality, mod-J reduction and the action on the homology of the affine
+Grassmannian.
 
 Elements are dicts ``AffineElt -> Scalar`` with coefficients written on the
 left of the basis.  The W_af-action on weights is the level-zero one
 (translations act trivially, the affine node acts by the highest-root
-reflection).  Centrality is certified by ``is_central`` from one exact
-commutator, with the regular weight rho.
+reflection).  ``bruhat_into`` is the one loop that accumulates a class over
+superregular cocovers: under a rule it is a Bruhat operator of ``peterson``,
+the j-class step, or the commutator with the regular weight rho that
+certifies centrality.
 """
 
-from .cartan import RootSystem
-from .coeffring import from_raw, packed_addmul, settle, weight_diff
-from .weyl import is_grassmannian, length, root_pairings, serialize, superregular_cocovers
+from .cartan import RootSystem, WeightVec
+from .coeffring import from_raw, packed_addmul, packed_axpy, settle, to_raw, weight_diff
+from .weyl import AffineElt, is_grassmannian, length, root_pairings, serialize, superregular_cocovers
 
 NilHeckeElt = dict  # AffineElt -> Scalar
+
+
+def bruhat_into(rs: RootSystem, mu: WeightVec, rule, raw: dict, out: dict) -> dict:
+    """The Kostant-Kumar kernel: adds the image of the raw class ``raw`` into
+    the accumulator ``out`` and returns it, unsettled.
+
+    For a superregular x = w t_{v lam}, rule(rs, mu, x, v, w v, near, far)
+    on the entries of ``superregular_cocovers`` gives the diagonal Scalar
+    d_x and the cocovers (vec, y.w, y.t); c A_x maps to
+    c d_x A_x + sum c <vec, mu> A_y, after A_x mu = (x.mu) A_x +
+    sum <beta^vee, mu> A_{x r_beta}.  Each distinct vec is paired once per
+    call, and a y is built only for a nonzero weight.
+    """
+    weights: dict = {}  # vec -> <vec, mu>
+    for x, t in raw.items():
+        diag, covers = rule(rs, mu, x, *superregular_cocovers(rs, x.w, x.t))
+        if diag:
+            packed_addmul(out, x, t, diag.packed)
+        for vec, yw, yt in covers:
+            k = weights.get(vec)
+            if k is None:
+                k = weights[vec] = rs.pair_weight(vec, mu)
+            if k:
+                packed_axpy(out, AffineElt(yw, yt), t, k)
+    return out
+
+
+def _commutator_rule(rs, mu, x, v, wv, near, far):
+    """[mu, A_x]: diagonal mu - x.w mu, every cocover weighted by <d, mu>."""
+    return weight_diff(rs, mu, x.w), ((d, yw, yt) for entries in (near, far) for yw, yt, d, _row in entries)
 
 
 def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
@@ -27,38 +60,11 @@ def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
     w != id, and Q(S) is a field; so [rho, a] = 0 iff a is supported on
     translations, that is iff a commutes with every weight.
 
-    [rho, a] is accumulated exactly, in one pass over a, in one raw class
-    keyed by (w, t), the parts of y = w t_lam.  By the Kostant-Kumar
-    commutation rule a term c A_x gives c (rho - x.rho) at x, and
-    -c <beta^vee, rho> = c sum(d) at each cocover y, read raw from
-    ``superregular_cocovers`` with no AffineElt built; sum(d) != 0, as d is
-    a coroot.  a is central iff the commutator settles to 0.
+    ``bruhat_into`` accumulates [rho, a] exactly: c A_x gives c (rho - x.rho)
+    at x, and -c <beta^vee, rho> = c <d, rho> at each cocover.  a is central
+    iff the commutator settles to 0.
     """
-    acc: dict = {}
-    get = acc.get
-    rho = rs.rho
-    diffs: dict = {}  # x.w -> packed rho - x.w rho
-    for x, cx in a.items():
-        t = cx.packed
-        xw, xt = x.w, x.t
-        d = diffs.get(xw)
-        if d is None:
-            d = diffs[xw] = weight_diff(rs, rho, xw).packed
-        if d:
-            packed_addmul(acc, (xw, xt), t, d)
-        _v, _wv, near, far = superregular_cocovers(rs, xw, xt)
-        for entries in (near, far):
-            for yw, yt, dy, _row in entries:
-                k = sum(dy)
-                key = (yw, yt)
-                row = get(key)
-                if row is None:
-                    acc[key] = {e: c * k for e, c in t.items()}
-                else:
-                    rget = row.get
-                    for e, c in t.items():
-                        row[e] = rget(e, 0) + c * k
-    return not settle(acc)
+    return not settle(bruhat_into(rs, rs.rho, _commutator_rule, to_raw(a), {}))
 
 
 def mod_J(a: NilHeckeElt) -> NilHeckeElt:

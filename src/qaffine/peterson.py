@@ -5,21 +5,22 @@ elements (plain dicts ``AffineElt -> Scalar``); iterating the near operator
 over a Weyl-orbit of translations produces central elements, from which
 the affine Schubert classes, their products, and the isomorphism onto the
 localized quantum ring are computed.  ``B``, ``C`` and their twisted forms
-are rules (a diagonal, and the near or far cocovers each with the coroot
-that weights it) over one kernel, which pairs each coroot with the weight
-once, accumulates on raw packed dicts and settles once.  A j-class is the
-quantum Schubert polynomial of its Weyl part evaluated at the commuting
-operators B^{omega_i} by ``quantum.horner``, the routine that also evaluates
-the polynomials on the quantum route, so no b-element is built on the product
-path; the class itself is certified.
+are rules (a per-term margin check, a diagonal, and the near or far
+cocovers each with the coroot that weights it) over the Kostant-Kumar kernel
+``nilhecke.bruhat_into``, which the centrality certificate shares.  A
+j-class is the quantum Schubert polynomial of its Weyl part evaluated at
+the commuting operators B^{omega_i} by ``quantum.horner``, which also
+evaluates the polynomials on the quantum route, stepping by the kernel on
+raw classes; no b-element is built on the product path, and the class
+itself is certified.
 """
 
 from dataclasses import dataclass
 from operator import add
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
-from .coeffring import Scalar, divide_raw, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
-from .nilhecke import NilHeckeElt, act_on_homology, is_central, mod_J
+from .coeffring import Scalar, divide_raw, from_raw, packed_addmul, packed_axpy, scalar_one, settle, to_raw, weight_diff
+from .nilhecke import NilHeckeElt, act_on_homology, bruhat_into, is_central, mod_J
 from .quantum import QHClass, gw_coefficient, horner, schubert_poly
 from .weyl import (
     AffineElt,
@@ -33,7 +34,6 @@ from .weyl import (
     length,
     root_pairings,
     superregular_antidominant,
-    superregular_cocovers,
     superregular_margin,
     translation,
 )
@@ -48,56 +48,45 @@ def _require_margin(x: AffineElt, units: int = 1):
                           f"(pairing units beyond 2|W| + 2)")
 
 
-def _bruhat_operator(rs: RootSystem, f: GroupAlgebraElt, mu: WeightVec, rule) -> GroupAlgebraElt:
-    """sum_x c_x (d_x x + sum <vec, mu> y), where rule(x, v, w v, near, far),
-    given the entries of ``superregular_cocovers`` for a superregular
-    x = w t_{v lam}, gives the diagonal Scalar d_x and the cocovers
-    (vec, y.w, y.t) with the coroot vec to pair with mu.  Each distinct vec
-    is paired once per call, and a y is built only for a nonzero weight."""
-    out: dict = {}
-    weights: dict = {}  # vec -> <vec, mu>
-    for x, c in f.items():
-        _require_margin(x)
-        diag, covers = rule(x, *superregular_cocovers(rs, x.w, x.t))
-        t = c.packed
-        if diag:
-            packed_addmul(out, x, t, diag.packed)
-        for vec, yw, yt in covers:
-            k = weights.get(vec)
-            if k is None:
-                k = weights[vec] = rs.pair_weight(vec, mu)
-            if k:
-                packed_axpy(out, AffineElt(yw, yt), t, k)
-    return from_raw(rs, settle(out))
+def _b_rule(rs, mu, x, v, wv, near, far):
+    _require_margin(x)
+    return weight_diff(rs, mu, wv), ((row[1], yw, yt) for yw, yt, _d, row in near)
+
+
+def _c_rule(rs, mu, x, v, wv, near, far):
+    _require_margin(x)
+    return weight_diff(rs, mu, v), ((row[1], yw, yt) for yw, yt, _d, row in far)
+
+
+def _twisted_b_rule(rs, mu, x, v, wv, near, far):
+    _require_margin(x)
+    return weight_diff(rs, mu, x.w) - weight_diff(rs, mu, v.inverse()), ((d, yw, yt) for yw, yt, d, _row in near)
+
+
+def _twisted_c_rule(rs, mu, x, v, wv, near, far):
+    # called with -mu, so its diagonal is -(mu - v^{-1} mu)
+    _require_margin(x)
+    return weight_diff(rs, mu, v.inverse()), ((d, yw, yt) for yw, yt, d, _row in far)
 
 
 def b_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Near equivariant affine Bruhat operator B^mu: diagonal mu - w v mu, weights <alpha^vee, mu>."""
-    def rule(x, v, wv, near, far):
-        return weight_diff(rs, mu, wv), ((row[1], yw, yt) for yw, yt, _d, row in near)
-    return _bruhat_operator(rs, f, mu, rule)
+    return from_raw(rs, settle(bruhat_into(rs, mu, _b_rule, to_raw(f), {})))
 
 
 def c_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Far equivariant affine Bruhat operator C^mu: diagonal mu - v mu, weights <alpha^vee, mu>."""
-    def rule(x, v, wv, near, far):
-        return weight_diff(rs, mu, v), ((row[1], yw, yt) for yw, yt, _d, row in far)
-    return _bruhat_operator(rs, f, mu, rule)
+    return from_raw(rs, settle(bruhat_into(rs, mu, _c_rule, to_raw(f), {})))
 
 
 def twisted_b(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Twisted near operator: diagonal v^{-1} mu - w mu, weights <v alpha^vee, mu> (the row's d)."""
-    def rule(x, v, wv, near, far):
-        diag = weight_diff(rs, mu, x.w) - weight_diff(rs, mu, v.inverse())
-        return diag, ((d, yw, yt) for yw, yt, d, _row in near)
-    return _bruhat_operator(rs, f, mu, rule)
+    return from_raw(rs, settle(bruhat_into(rs, mu, _twisted_b_rule, to_raw(f), {})))
 
 
 def twisted_c(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Twisted far operator: diagonal v^{-1} mu - mu, weights -<v alpha^vee, mu> = <v alpha^vee, -mu>."""
-    def rule(x, v, wv, near, far):
-        return -weight_diff(rs, mu, v.inverse()), ((d, yw, yt) for yw, yt, d, _row in far)
-    return _bruhat_operator(rs, f, tuple(-m for m in mu), rule)
+    return from_raw(rs, settle(bruhat_into(rs, tuple(-m for m in mu), _twisted_c_rule, to_raw(f), {})))
 
 
 def sum_translations(rs: RootSystem, lam: CorootVec) -> GroupAlgebraElt:
@@ -156,9 +145,10 @@ def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
     Schubert polynomial of w at the operators B^{omega_i}.
 
     ``quantum.horner`` seeds a term a q^shift omega^word with
-    a sum_v t_{v(lam + shift)} and steps by ``b_op`` (S-linear, and the B
-    operators commute), on the integer numerators; the root is divided by
-    the denominator once, and a remainder raises ValueError.  Centrality and
+    a sum_v t_{v(lam + shift)} and steps by B^{omega_i} (S-linear, and the B
+    operators commute), each step ``bruhat_into`` under the B rule from a
+    raw node into its parent, on the integer numerators; the root is divided
+    by the denominator once, and a remainder raises ValueError.  Centrality and
     a Grassmannian part of exactly A_x characterize j_x; both are certified.
     """
     if not is_grassmannian(x):
@@ -170,11 +160,8 @@ def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
         for y, c in sum_translations(rs, tuple(map(add, x.t, q))).items():
             packed_addmul(acc, y, c.packed, a)
 
-    def step(i, raw, out):
-        for y, c in b_op(rs, rs.fundamental_weight(i), from_raw(rs, raw)).items():
-            packed_axpy(out, y, c.packed, 1)
-
-    raw = divide_raw(horner(poly, put, step), poly.den)
+    root = horner(poly, put, lambda i, raw, out: bruhat_into(rs, rs.fundamental_weight(i), _b_rule, raw, out))
+    raw = divide_raw(root, poly.den)
     bad = next((c for t in raw.values() for c in t.values() if type(c) is not int), None)
     if bad is not None:
         raise ValueError(f"non-integral coefficient {bad}")

@@ -6,11 +6,12 @@ import pytest
 
 from conftest import combo_axpy
 from qaffine import cartan, nilhecke, peterson
-from qaffine.coeffring import MAX_EXP, Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
+from qaffine.coeffring import MAX_EXP, Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, to_raw, weight_diff
 from qaffine.nilhecke import act_on_homology, is_central, mod_J
 from qaffine.quantum import QSchubertPoly, schubert_poly
 from qaffine.weyl import (
     AffineElt,
+    BudgetError,
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
@@ -470,35 +471,82 @@ def test_j_class_refuses_a_non_integral_sum(monkeypatch):
         peterson.j_class(rs, _jclass_input(rs, w))
 
 
-def test_j_classes_make_one_check_each_and_one_b_op_per_prefix(monkeypatch):
+def test_j_classes_make_one_check_each_and_one_b_step_per_prefix(monkeypatch):
     # a j-class evaluates its polynomial at the B operators over the word trie
-    # of its polynomial, builds no b-element, and only the class is certified
-    central = ops = 0
-    real_b_op = peterson.b_op
+    # of its polynomial, one raw kernel step with the B rule per distinct
+    # non-empty prefix, builds no b-element, and only the class is certified
+    central = steps = 0
+    real_bruhat_into = peterson.bruhat_into
 
     def counting_central(rs, a):
         nonlocal central
         central += 1
         return is_central(rs, a)
 
-    def counting_b_op(rs, mu, f):
-        nonlocal ops
-        ops += 1
-        return real_b_op(rs, mu, f)
+    def counting_bruhat_into(rs, mu, rule, raw, out):
+        nonlocal steps
+        steps += rule is peterson._b_rule
+        return real_bruhat_into(rs, mu, rule, raw, out)
 
     monkeypatch.setattr(nilhecke, "is_central", counting_central)
     monkeypatch.setattr(peterson, "is_central", counting_central)
-    monkeypatch.setattr(peterson, "b_op", counting_b_op)
+    monkeypatch.setattr(peterson, "bruhat_into", counting_bruhat_into)
+    monkeypatch.setattr(peterson, "b_op", None)  # the step must not go through b_op
     for lbl, max_len in [("B2", 4), ("G2", 3)]:
         rs = cartan.build(lbl)
         for w in enumerate_weyl(rs):
             if w.length() <= max_len:
                 x = _jclass_input(rs, w)
                 words = {word for _q, word in schubert_poly(rs, w).num}
-                central = ops = 0
+                central = steps = 0
                 peterson.j_class(rs, x)
                 assert central == 1, (lbl, w)
-                assert ops == len({word[:k] for word in words for k in range(1, len(word) + 1)}), (lbl, w)
+                assert steps == len({word[:k] for word in words for k in range(1, len(word) + 1)}), (lbl, w)
+
+
+def test_raw_j_class_step_keeps_its_margin_check(monkeypatch):
+    # with no margin charged up front, the first term of a step below 4 units
+    # raises from the B rule's per-term check, and nothing is cached
+    rs = cartan.build("A2")
+    w = simple_reflection(rs, 0) * simple_reflection(rs, 1)
+    assert w.length() >= 2
+    x = AffineElt(w, superregular_antidominant(rs))
+    assert 0 <= superregular_margin(x) < 4
+    real_units = peterson.j_units_needed
+    monkeypatch.setattr(peterson, "j_units_needed", lambda rs, v: 0 if v is w else real_units(rs, v))
+    with pytest.raises(BudgetError, match="margin needed 4"):
+        peterson.j_class(rs, x)
+    assert not [k for k in rs._cache if k[0] == "jclass"]
+
+
+def test_commutator_through_the_kernel_is_the_reference_value():
+    # [rho, a] from bruhat_into with the commutator rule, settled, is the
+    # reference commutator as a class, on central and non-central elements
+    rng = random.Random(53)
+    seen = set()
+    for lbl in ["A2", "B2", "G2"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        lam = superregular_antidominant(rs, units=2)
+        bs = [peterson.b_element(rs, lam, [rs.fundamental_weight(i)]) for i in range(rs.rank)]
+        samples = []
+        for _ in range(12):
+            # an S-combination of b-elements is central; random terms are not
+            central = {}
+            for b in bs:
+                s = Scalar.var(rng.randrange(rs.rank), rs.rank) * rng.randint(-2, 2) + one(rs)
+                for y, c in b.items():
+                    combo_axpy(central, y, s * c)
+            a = {}
+            for _ in range(rng.randint(1, 4)):
+                x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
+                combo_axpy(a, x, Scalar.var(rng.randrange(rs.rank), rs.rank) * rng.randint(-2, 2) + one(rs))
+            samples += [central, a]
+        for a in samples:
+            got = from_raw(rs, settle(nilhecke.bruhat_into(rs, rs.rho, nilhecke._commutator_rule, to_raw(a), {})))
+            assert got == commutator_with_weight(rs, a, rs.rho), lbl
+            seen.add(not got)
+    assert seen == {True, False}
 
 
 def naive_act_on_homology(rs, a, xi):

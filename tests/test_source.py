@@ -65,3 +65,19 @@ def test_cache_tags_are_distinct():
     assert len(where) > 20
     shared = {tag: sites for tag, sites in where.items() if len(sites) > 1}
     assert not shared, shared
+
+
+def test_only_the_kernel_accumulates_superregular_cocovers():
+    # nilhecke.bruhat_into is the one loop that turns cocover entries into an
+    # accumulated class; outside nilhecke only weyl (the reader and its
+    # certificate) and the quantum-Bruhat path walk may read the entries
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "superregular_cocovers" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    sites.add((path.name, getattr(top, "name", None)))
+    assert ("nilhecke.py", "bruhat_into") in sites
+    stray = [site for site in sites if site[0] not in ("nilhecke.py", "weyl.py") and site != ("qbruhat.py", "path_endpoint")]
+    assert not stray, stray
