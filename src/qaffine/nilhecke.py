@@ -6,46 +6,71 @@ Elements are dicts ``AffineElt -> Scalar`` with coefficients written on the
 left of the basis.  The W_af-action on weights is the level-zero one
 (translations act trivially, the affine node acts by the highest-root
 reflection).  ``bruhat_into`` is the one loop that accumulates a class over
-superregular cocovers: under a rule it is a Bruhat operator of ``peterson``,
-the j-class step, or the commutator with the regular weight rho that
-certifies centrality.
+superregular cocovers, keyed by (w, t) pairs: under a rule it is a Bruhat
+operator of ``peterson``, the j-class step, or the commutator with the regular
+weight rho that certifies centrality.
 """
 
 from .cartan import RootSystem, WeightVec
-from .coeffring import from_raw, packed_addmul, packed_axpy, settle, to_raw, weight_diff
-from .weyl import AffineElt, is_grassmannian, length, root_pairings, serialize, superregular_cocovers
+from .coeffring import from_raw, packed_addmul, packed_axpy, settle, weight_diff
+from .weyl import (AffineElt, BudgetError, case_level, chamber_decompose, cover_rows, is_grassmannian, length,
+                   root_pairings, serialize)
 
 NilHeckeElt = dict  # AffineElt -> Scalar
 
+# a rule's row groups of cover_rows (w v, near, far), and its row weights alpha^vee or d
+NEAR, FAR, BOTH, COROOT, D = (1,), (2,), (1, 2), 1, 3
+
+
+def to_pairs(a: NilHeckeElt) -> dict:
+    """The raw class of a, keyed by (x.w, x.t) pairs for the kernel."""
+    return {(x.w, x.t): c.packed for x, c in a.items()}
+
+
+def from_pairs(rs: RootSystem, raw: dict) -> NilHeckeElt:
+    """A settled raw class keyed by pairs as a NilHeckeElt: its keys are built here."""
+    return from_raw(rs, {AffineElt(w, t): c for (w, t), c in raw.items()})
+
 
 def bruhat_into(rs: RootSystem, mu: WeightVec, rule, raw: dict, out: dict) -> dict:
-    """The Kostant-Kumar kernel: adds the image of the raw class ``raw`` into
-    the accumulator ``out`` and returns it, unsettled.
+    """The Kostant-Kumar kernel: adds the image of the raw class ``raw``, keyed
+    by (w, t) pairs, into the accumulator ``out`` and returns it, unsettled.
 
-    For a superregular x = w t_{v lam}, rule(rs, mu, x, v, w v, near, far)
-    on the entries of ``superregular_cocovers`` gives the diagonal Scalar
-    d_x and the cocovers (vec, y.w, y.t); c A_x maps to
-    c d_x A_x + sum c <vec, mu> A_y, after A_x mu = (x.mu) A_x +
-    sum <beta^vee, mu> A_{x r_beta}.  Each distinct vec is paired once per
-    call, and a y is built only for a nonzero weight.
+    For a superregular x = w t, t = v lam with lam antidominant, rule(rs, mu,
+    w, t, v, w v, margin) gives the diagonal Scalar d_x, the groups of the
+    rows ``cover_rows(rs, w, v)`` it reads and the slot of the vec weighting a
+    row: c A_x maps to c d_x A_x + sum c <vec, mu> A_y, after A_x mu =
+    (x.mu) A_x + sum <beta^vee, mu> A_{x r_beta}.  A row's cocover y is formed
+    only for a nonzero weight, and each vec is paired once per call.  A term
+    below the superregular bound raises BudgetError.
     """
+    bound = 2 * rs.weyl_order + 2
     weights: dict = {}  # vec -> <vec, mu>
-    for x, t in raw.items():
-        diag, covers = rule(rs, mu, x, *superregular_cocovers(rs, x.w, x.t))
+    for (w, t), c in raw.items():
+        pr = root_pairings(rs, t)
+        margin = min(map(abs, pr)) - bound
+        if margin < 0:
+            raise BudgetError(f"{AffineElt(w, t)!r} is not superregular")
+        v = chamber_decompose(rs, t)[0]
+        rows = cover_rows(rs, w, v)
+        diag, groups, slot = rule(rs, mu, w, t, v, rows[0], margin)
         if diag:
-            packed_addmul(out, x, t, diag.packed)
-        for vec, yw, yt in covers:
-            k = weights.get(vec)
-            if k is None:
-                k = weights[vec] = rs.pair_weight(vec, mu)
-            if k:
-                packed_axpy(out, AffineElt(yw, yt), t, k)
+            packed_addmul(out, (w, t), c, diag.packed)
+        for g in groups:
+            for row in rows[g]:
+                k = weights.get(row[slot])
+                if k is None:
+                    k = weights[row[slot]] = rs.pair_weight(row[slot], mu)
+                if k:
+                    p = pr[row[5]]
+                    m = case_level(row[4], p) - p
+                    packed_axpy(out, (row[2], tuple([a + m * e for a, e in zip(t, row[3])]) if m else t), c, k)
     return out
 
 
-def _commutator_rule(rs, mu, x, v, wv, near, far):
+def _commutator_rule(rs, mu, w, t, v, wv, margin):
     """[mu, A_x]: diagonal mu - x.w mu, every cocover weighted by <d, mu>."""
-    return weight_diff(rs, mu, x.w), ((d, yw, yt) for entries in (near, far) for yw, yt, d, _row in entries)
+    return weight_diff(rs, mu, w), BOTH, D
 
 
 def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
@@ -60,11 +85,11 @@ def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
     w != id, and Q(S) is a field; so [rho, a] = 0 iff a is supported on
     translations, that is iff a commutes with every weight.
 
-    ``bruhat_into`` accumulates [rho, a] exactly: c A_x gives c (rho - x.rho)
-    at x, and -c <beta^vee, rho> = c <d, rho> at each cocover.  a is central
-    iff the commutator settles to 0.
+    ``bruhat_into`` accumulates [rho, a] exactly, a keyed by pairs: c A_x gives
+    c (rho - x.rho) at x, and -c <beta^vee, rho> = c <d, rho> at each
+    cocover.  a is central iff the commutator settles to 0.
     """
-    return not settle(bruhat_into(rs, rs.rho, _commutator_rule, to_raw(a), {}))
+    return not settle(bruhat_into(rs, rs.rho, _commutator_rule, to_pairs(a), {}))
 
 
 def mod_J(a: NilHeckeElt) -> NilHeckeElt:

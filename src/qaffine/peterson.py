@@ -4,23 +4,22 @@ The near/far operators act on free S-modules over superregular affine
 elements (plain dicts ``AffineElt -> Scalar``); iterating the near operator
 over a Weyl-orbit of translations produces central elements, from which
 the affine Schubert classes, their products, and the isomorphism onto the
-localized quantum ring are computed.  ``B``, ``C`` and their twisted forms
-are rules (a per-term margin check, a diagonal, and the near or far
-cocovers each with the coroot that weights it) over the Kostant-Kumar kernel
-``nilhecke.bruhat_into``, which the centrality certificate shares.  A
-j-class is the quantum Schubert polynomial of its Weyl part evaluated at
-the commuting operators B^{omega_i} by ``quantum.horner``, which also
-evaluates the polynomials on the quantum route, stepping by the kernel on
-raw classes; no b-element is built on the product path, and the class
-itself is certified.
+localized quantum ring are computed.  ``B`` and ``C`` are rules (a per-term
+margin check, a diagonal, and the near or far rows each weighted by its
+coroot) over the Kostant-Kumar kernel ``nilhecke.bruhat_into``, which the
+centrality certificate shares.  A j-class is the quantum Schubert polynomial
+of its Weyl part evaluated at the commuting operators B^{omega_i} by
+``quantum.horner``, which also evaluates the polynomials on the quantum
+route, stepping by the kernel on raw classes keyed by (w, t) pairs; no
+b-element is built on the product path, and the class itself is certified.
 """
 
 from dataclasses import dataclass
 from operator import add
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
-from .coeffring import Scalar, divide_raw, from_raw, packed_addmul, packed_axpy, scalar_one, settle, to_raw, weight_diff
-from .nilhecke import NilHeckeElt, act_on_homology, bruhat_into, is_central, mod_J
+from .coeffring import Scalar, divide_raw, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
+from .nilhecke import COROOT, FAR, NEAR, NilHeckeElt, act_on_homology, bruhat_into, from_pairs, is_central, mod_J, to_pairs
 from .quantum import QHClass, gw_coefficient, horner, schubert_poly
 from .weyl import (
     AffineElt,
@@ -36,6 +35,7 @@ from .weyl import (
     superregular_antidominant,
     superregular_margin,
     translation,
+    weyl_identity,
 )
 
 GroupAlgebraElt = dict  # AffineElt -> Scalar
@@ -48,54 +48,39 @@ def _require_margin(x: AffineElt, units: int = 1):
                           f"(pairing units beyond 2|W| + 2)")
 
 
-def _b_rule(rs, mu, x, v, wv, near, far):
-    _require_margin(x)
-    return weight_diff(rs, mu, wv), ((row[1], yw, yt) for yw, yt, _d, row in near)
+def _b_rule(rs, mu, w, t, v, wv, margin):
+    if margin < 4:
+        _require_margin(AffineElt(w, t))
+    return weight_diff(rs, mu, wv), NEAR, COROOT
 
 
-def _c_rule(rs, mu, x, v, wv, near, far):
-    _require_margin(x)
-    return weight_diff(rs, mu, v), ((row[1], yw, yt) for yw, yt, _d, row in far)
-
-
-def _twisted_b_rule(rs, mu, x, v, wv, near, far):
-    _require_margin(x)
-    return weight_diff(rs, mu, x.w) - weight_diff(rs, mu, v.inverse()), ((d, yw, yt) for yw, yt, d, _row in near)
-
-
-def _twisted_c_rule(rs, mu, x, v, wv, near, far):
-    # called with -mu, so its diagonal is -(mu - v^{-1} mu)
-    _require_margin(x)
-    return weight_diff(rs, mu, v.inverse()), ((d, yw, yt) for yw, yt, d, _row in far)
+def _c_rule(rs, mu, w, t, v, wv, margin):
+    if margin < 4:
+        _require_margin(AffineElt(w, t))
+    return weight_diff(rs, mu, v), FAR, COROOT
 
 
 def b_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Near equivariant affine Bruhat operator B^mu: diagonal mu - w v mu, weights <alpha^vee, mu>."""
-    return from_raw(rs, settle(bruhat_into(rs, mu, _b_rule, to_raw(f), {})))
+    return from_pairs(rs, settle(bruhat_into(rs, mu, _b_rule, to_pairs(f), {})))
 
 
 def c_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     """Far equivariant affine Bruhat operator C^mu: diagonal mu - v mu, weights <alpha^vee, mu>."""
-    return from_raw(rs, settle(bruhat_into(rs, mu, _c_rule, to_raw(f), {})))
+    return from_pairs(rs, settle(bruhat_into(rs, mu, _c_rule, to_pairs(f), {})))
 
 
-def twisted_b(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Twisted near operator: diagonal v^{-1} mu - w mu, weights <v alpha^vee, mu> (the row's d)."""
-    return from_raw(rs, settle(bruhat_into(rs, mu, _twisted_b_rule, to_raw(f), {})))
-
-
-def twisted_c(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Twisted far operator: diagonal v^{-1} mu - mu, weights -<v alpha^vee, mu> = <v alpha^vee, -mu>."""
-    return from_raw(rs, settle(bruhat_into(rs, tuple(-m for m in mu), _twisted_c_rule, to_raw(f), {})))
+def _add_translations(rs: RootSystem, acc: dict, lam: CorootVec, a: dict) -> dict:
+    """acc += a sum_{w in W} t_{w lam} on a raw class keyed by pairs."""
+    e = weyl_identity(rs)
+    for w in enumerate_weyl(rs):
+        packed_axpy(acc, (e, w.act_coroot(lam)), a, 1)
+    return acc
 
 
 def sum_translations(rs: RootSystem, lam: CorootVec) -> GroupAlgebraElt:
     """sum_{w in W} t_{w lam}."""
-    out: dict = {}
-    one = scalar_one(rs).packed
-    for w in enumerate_weyl(rs):
-        packed_axpy(out, translation(rs, w.act_coroot(lam)), one, 1)
-    return from_raw(rs, settle(out))
+    return from_pairs(rs, settle(_add_translations(rs, {}, lam, scalar_one(rs).packed)))
 
 
 def theta_map(rs: RootSystem, w: WeylElt, lam: CorootVec, sigma: QHClass) -> GroupAlgebraElt:
@@ -147,25 +132,22 @@ def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
     ``quantum.horner`` seeds a term a q^shift omega^word with
     a sum_v t_{v(lam + shift)} and steps by B^{omega_i} (S-linear, and the B
     operators commute), each step ``bruhat_into`` under the B rule from a
-    raw node into its parent, on the integer numerators; the root is divided
-    by the denominator once, and a remainder raises ValueError.  Centrality and
-    a Grassmannian part of exactly A_x characterize j_x; both are certified.
+    raw node into its parent, keyed by (w, t) pairs, on the integer numerators;
+    the root is divided by the denominator once, and a remainder raises
+    ValueError.  Centrality and a Grassmannian part of exactly A_x
+    characterize j_x; both are certified on the returned class.
     """
     if not is_grassmannian(x):
         raise ValueError("j classes are indexed by Grassmannian elements")
     _require_margin(x, units=j_units_needed(rs, x.w))
     poly = schubert_poly(rs, x.w)
-
-    def put(acc, q, a):
-        for y, c in sum_translations(rs, tuple(map(add, x.t, q))).items():
-            packed_addmul(acc, y, c.packed, a)
-
-    root = horner(poly, put, lambda i, raw, out: bruhat_into(rs, rs.fundamental_weight(i), _b_rule, raw, out))
+    root = horner(poly, lambda acc, q, a: _add_translations(rs, acc, tuple(map(add, x.t, q)), a),
+                  lambda i, raw, out: bruhat_into(rs, rs.fundamental_weight(i), _b_rule, raw, out))
     raw = divide_raw(root, poly.den)
     bad = next((c for t in raw.values() for c in t.values() if type(c) is not int), None)
     if bad is not None:
         raise ValueError(f"non-integral coefficient {bad}")
-    out = from_raw(rs, raw)
+    out = from_pairs(rs, raw)
     if mod_J(out) != {x: scalar_one(rs)}:
         raise AssertionError("j class Grassmannian part is not A_x")
     if not is_central(rs, out):

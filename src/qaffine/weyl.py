@@ -473,12 +473,12 @@ def cover_rows(rs: RootSystem, w: WeylElt, v: WeylElt):
     """The superregular cocovers of every w t_{v lam}, lam antidominant, as
     rows shared by all depths: (w v, near rows, far rows).
 
-    A row is (alpha, alpha^vee, w r_{v alpha}, d = v alpha^vee, case).  The near
-    rows (cases 1, 2) are the out-edges of the quantum Bruhat graph at w v, the
-    far rows (cases 3, 4) its in-edges at v; ``superregular_cocovers`` reads
-    each row's cocover off ``_CASE_LEVEL``.  The finite parts w r_{v alpha}
-    are the canonical elements, so the rows of all |W|^2 chamber pairs name
-    only |W| objects.
+    A row is (alpha, alpha^vee, w r_{v alpha}, d = v alpha^vee, case, j), j the
+    index of v alpha.  The near rows (cases 1, 2) are the out-edges of the
+    quantum Bruhat graph at w v, the far rows (cases 3, 4) its in-edges at v.
+    At t = v lam a row's cocover is (w r_{v alpha}, t + (case_level(case, p) - p) d),
+    p = <lam, alpha> = root_pairings(rs, t)[j].  The finite parts are the
+    canonical elements, so the rows of all |W|^2 chamber pairs name |W| objects.
     """
     wv = w * v
     ups, quantums, _, _ = cover_table(rs, wv)
@@ -486,16 +486,18 @@ def cover_rows(rs: RootSystem, w: WeylElt, v: WeylElt):
     near, far = [], []
     for case, (rows, out) in enumerate(((ups, near), (quantums, near), (downs, far), (qups, far)), 1):
         for a, avee, _ in rows:
-            out.append((a, avee, w * reflection_of(rs, v.act_root(a)), v.act_coroot(avee), case))
+            j = v.perm[rs.root_index[a]]
+            out.append((a, avee, w * reflection_of(rs, rs.roots[j]), v.act_coroot(avee), case, j))
     return wv, tuple(near), tuple(far)
 
 
 # Case k of a superregular cocover puts its reflection root at level
-# n = e p + c, p = <lam, alpha>, with (e, c) = _CASE_LEVEL[k - 1].
+# n = e p + c, p = <lam, alpha>, with (e, c) = _CASE_LEVEL[k - 1]; read only
+# through case_level.
 _CASE_LEVEL = ((1, 0), (1, 1), (0, 0), (0, -1))
 
 
-def _level(case: int, p: int) -> int:
+def case_level(case: int, p: int) -> int:
     e, c = _CASE_LEVEL[case - 1]
     return e * p + c
 
@@ -505,46 +507,37 @@ def superregular_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
     """The cocovers of a superregular x = w t_t, t = v lam with lam
     antidominant: (v, w v, near entries, far entries).
 
-    An entry is (y.w, y.t, d, row) for the row (alpha, alpha^vee, w r_{v alpha},
-    d = v alpha^vee, case) of ``cover_rows``.  Its cocover is
-    y = w r_{v alpha} t_{t + (n - p) d}, where n is the case's level and
-    p = <lam, alpha>; the positive root of the reflection is -(v alpha) - n delta.
-    Raises BudgetError, and caches nothing, unless x is superregular: the
-    cases do not hold below the margin.
+    An entry is (y.w, y.t, d, row) for a row of ``cover_rows``; the positive
+    root of the reflection is -(v alpha) - n delta, n = case_level(case, p).
+    Raises BudgetError, and caches nothing, unless x is superregular: the cases
+    do not hold below the margin.
     """
-    v, lam = chamber_decompose(rs, t)
-    pl = root_pairings(rs, lam)
-    # the pairings of lam are those of t, permuted by v
-    if min(map(abs, pl)) < 2 * rs.weyl_order + 2:
+    pr = root_pairings(rs, t)
+    if min(map(abs, pr)) < 2 * rs.weyl_order + 2:
         raise BudgetError(f"{AffineElt(w, t)!r} is not superregular")
+    v = chamber_decompose(rs, t)[0]
     wv, near, far = cover_rows(rs, w, v)
-    index = rs.root_index
 
-    def entries(rows):
-        out = []
-        for row in rows:
-            a, _avee, wr, d, case = row
-            p = pl[index[a]]
-            m = _level(case, p) - p
-            out.append((wr, tuple(c + m * e for c, e in zip(t, d)) if m else t, d, row))
-        return tuple(out)
+    def entry(row):
+        p = pr[row[5]]
+        m = case_level(row[4], p) - p
+        return row[2], tuple(c + m * e for c, e in zip(t, row[3])) if m else t, row[3], row
 
-    return v, wv, entries(near), entries(far)
+    return v, wv, tuple(map(entry, near)), tuple(map(entry, far))
 
 
 def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
     """Case-tagged cocovers of a superregular x = w t_{v lam}, certified
     against the cover enumeration; BudgetError on any other x."""
     rs = x.rs
-    v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
-    pl = root_pairings(rs, chamber_decompose(rs, x.t)[1])
+    _v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
+    pr = root_pairings(rs, x.t)
     npos = len(rs.positive_roots)
     out = []
-    for yw, yt, _d, (a, _avee, _wr, _dd, case) in near + far:
+    for yw, yt, _d, (a, _avee, _wr, _dd, case, j) in near + far:
         # the positive affine root of the reflection is -(v alpha) - n delta,
         # so v alpha + n delta must be negative; -(v alpha) has index j +- npos
-        k = rs.root_index[a]
-        j, n = v.perm[k], _level(case, pl[k])
+        n = case_level(case, pr[j])
         if n > 0 or (n == 0 and j < npos):
             raise AssertionError("superregular cover reflection root unexpectedly positive")
         beta = AffineRoot(rs.roots[(j + npos) % (2 * npos)], -n)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import combo_axpy
+from test_peterson import twisted_b, twisted_c
 from qaffine import cartan, nilhecke, peterson
-from qaffine.coeffring import MAX_EXP, Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, to_raw, weight_diff
-from qaffine.nilhecke import act_on_homology, is_central, mod_J
+from qaffine.coeffring import MAX_EXP, Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
+from qaffine.nilhecke import act_on_homology, is_central, mod_J, to_pairs
 from qaffine.quantum import QSchubertPoly, schubert_poly
 from qaffine.weyl import (
     AffineElt,
@@ -15,7 +16,9 @@ from qaffine.weyl import (
     affine_from_word,
     affine_identity,
     affine_simple_reflection,
+    chamber_decompose,
     cocovers,
+    cover_rows,
     enumerate_weyl,
     is_grassmannian,
     is_superregular,
@@ -340,14 +343,41 @@ def test_superregular_cocover_pairs_match_enumeration():
 
 
 def test_bruhat_operator_and_centrality_share_one_reader_entry():
-    # b_op and is_central read the cocovers of x from one cached reader entry
+    # b_op and is_central read the cocovers of x = w t_{v lam} from one cached
+    # row table per (w, v), and cache nothing per (w, t)
     rs = cartan.build("B2")
     W = enumerate_weyl(rs)
     x = AffineElt(W[3], W[5].act_coroot(superregular_antidominant(rs, units=1)))
+    v = chamber_decompose(rs, x.t)[0]
     f = {x: one(rs)}
+    before = set(rs._cache)
     peterson.b_op(rs, rs.fundamental_weight(0), f)
     is_central(rs, f)
-    assert [k for k in rs._cache if k[0] == "sregcovers"] == [("sregcovers", x.w, x.t)]
+    added = set(rs._cache) - before
+    assert [k for k in added if k[0] == "coverrows"] == [("coverrows", x.w, v)]
+    assert not [k for k in added if k[1:] == (x.w, x.t)], added
+
+
+def test_kernel_targets_are_the_enumerated_cocovers():
+    # the commutator rule reads every row and weights it by <d, rho> != 0, so
+    # on the single term x the kernel's off-diagonal keys are exactly the
+    # (y.w, y.t) of the cocovers y of x; over all four cases this pins each
+    # entry of the case-level table
+    rng = random.Random(61)
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        cases = set()
+        for units in (0, 2, 5):
+            lam = superregular_antidominant(rs, units=units)
+            for _ in range(8):
+                x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
+                out = nilhecke.bruhat_into(rs, rs.rho, nilhecke._commutator_rule, {(x.w, x.t): one(rs).packed}, {})
+                got = set(out) - {(x.w, x.t)}
+                assert got == {(c.target.w, c.target.t) for c in cocovers(x)}, (lbl, x)
+                _wv, near, far = cover_rows(rs, x.w, chamber_decompose(rs, x.t)[0])
+                cases |= {row[4] for row in near + far}
+        assert cases == {1, 2, 3, 4}, (lbl, cases)
 
 
 def test_commutator_is_twisted_b_minus_twisted_c():
@@ -363,8 +393,8 @@ def test_commutator_is_twisted_b_minus_twisted_c():
                 x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
                 combo_axpy(a, x, Scalar.var(rng.randrange(rs.rank), rs.rank) * rng.randint(-2, 2) + one(rs))
             mu = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-            want = peterson.twisted_b(rs, mu, a)
-            for y, c in peterson.twisted_c(rs, mu, a).items():
+            want = twisted_b(rs, mu, a)
+            for y, c in twisted_c(rs, mu, a).items():
                 combo_axpy(want, y, -c)
             assert commutator_with_weight(rs, a, mu) == want, (lbl, mu)
 
@@ -520,8 +550,9 @@ def test_raw_j_class_step_keeps_its_margin_check(monkeypatch):
 
 
 def test_commutator_through_the_kernel_is_the_reference_value():
-    # [rho, a] from bruhat_into with the commutator rule, settled, is the
-    # reference commutator as a class, on central and non-central elements
+    # [rho, a] from bruhat_into with the commutator rule on pair keys, settled,
+    # is the reference commutator keyed by pairs, on central and non-central
+    # elements
     rng = random.Random(53)
     seen = set()
     for lbl in ["A2", "B2", "G2"]:
@@ -543,8 +574,8 @@ def test_commutator_through_the_kernel_is_the_reference_value():
                 combo_axpy(a, x, Scalar.var(rng.randrange(rs.rank), rs.rank) * rng.randint(-2, 2) + one(rs))
             samples += [central, a]
         for a in samples:
-            got = from_raw(rs, settle(nilhecke.bruhat_into(rs, rs.rho, nilhecke._commutator_rule, to_raw(a), {})))
-            assert got == commutator_with_weight(rs, a, rs.rho), lbl
+            got = settle(nilhecke.bruhat_into(rs, rs.rho, nilhecke._commutator_rule, to_pairs(a), {}))
+            assert got == to_pairs(commutator_with_weight(rs, a, rs.rho)), lbl
             seen.add(not got)
     assert seen == {True, False}
 

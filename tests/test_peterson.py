@@ -5,8 +5,8 @@ import pytest
 
 from conftest import combo_axpy
 from qaffine import cartan, peterson, quantum
-from qaffine.coeffring import Scalar, scalar_one, weight_diff
-from qaffine.nilhecke import is_central, mod_J
+from qaffine.coeffring import Scalar, scalar_one, settle, weight_diff
+from qaffine.nilhecke import D, FAR, NEAR, bruhat_into, from_pairs, is_central, mod_J, to_pairs
 from qaffine.peterson import (
     BudgetError,
     HomologyClass,
@@ -24,8 +24,6 @@ from qaffine.peterson import (
     psi_map,
     sum_translations,
     theta_map,
-    twisted_b,
-    twisted_c,
 )
 from qaffine.quantum import product_basis, qh_basis, schubert_poly
 from qaffine.weyl import (
@@ -41,6 +39,33 @@ from qaffine.weyl import (
 
 def one(rs):
     return scalar_one(rs)
+
+
+# The twisted Bruhat operators, kept here as references: rules over the
+# Kostant-Kumar kernel that weight each row by its d = v alpha^vee.  Their
+# difference is the commutator with the weight (test_nilhecke).
+
+def _twisted_b_rule(rs, mu, w, t, v, wv, margin):
+    if margin < 4:
+        peterson._require_margin(AffineElt(w, t))
+    return weight_diff(rs, mu, w) - weight_diff(rs, mu, v.inverse()), NEAR, D
+
+
+def _twisted_c_rule(rs, mu, w, t, v, wv, margin):
+    # called with -mu, so its diagonal is -(mu - v^{-1} mu)
+    if margin < 4:
+        peterson._require_margin(AffineElt(w, t))
+    return weight_diff(rs, mu, v.inverse()), FAR, D
+
+
+def twisted_b(rs, mu, f):
+    """Twisted near operator: diagonal v^{-1} mu - w mu, weights <v alpha^vee, mu> (the row's d)."""
+    return from_pairs(rs, settle(bruhat_into(rs, mu, _twisted_b_rule, to_pairs(f), {})))
+
+
+def twisted_c(rs, mu, f):
+    """Twisted far operator: diagonal v^{-1} mu - mu, weights -<v alpha^vee, mu> = <v alpha^vee, -mu>."""
+    return from_pairs(rs, settle(bruhat_into(rs, tuple(-m for m in mu), _twisted_c_rule, to_pairs(f), {})))
 
 
 def test_sum_translations_counts_stabilizers():

@@ -68,16 +68,28 @@ def test_cache_tags_are_distinct():
 
 
 def test_only_the_kernel_accumulates_superregular_cocovers():
-    # nilhecke.bruhat_into is the one loop that turns cocover entries into an
-    # accumulated class; outside nilhecke only weyl (the reader and its
-    # certificate) and the quantum-Bruhat path walk may read the entries
-    sites = set()
+    # nilhecke.bruhat_into is the one loop that turns cover rows into an
+    # accumulated class, each row's level read through weyl.case_level, the
+    # one reader of the case table; outside weyl (the rows, the case levels,
+    # the entry reader and its certificate) only the kernel and the
+    # quantum-Bruhat path walk may read rows, levels or entries
+    readers = ("cover_rows", "case_level", "superregular_cocovers")
+    sites = {name: set() for name in readers}
+    case_table = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "superregular_cocovers" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    sites.add((path.name, getattr(top, "name", None)))
-    assert ("nilhecke.py", "bruhat_into") in sites
-    stray = [site for site in sites if site[0] not in ("nilhecke.py", "weyl.py") and site != ("qbruhat.py", "path_endpoint")]
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in sites:
+                        sites[name].add((path.name, getattr(top, "name", None)))
+                if isinstance(node, ast.Name) and node.id == "_CASE_LEVEL" and isinstance(node.ctx, ast.Load):
+                    case_table.add((path.name, getattr(top, "name", None)))
+    kernel = ("nilhecke.py", "bruhat_into")
+    assert kernel in sites["cover_rows"] and kernel in sites["case_level"]
+    assert kernel not in sites["superregular_cocovers"]
+    assert case_table == {("weyl.py", "case_level")}
+    allowed = {kernel, ("qbruhat.py", "path_endpoint")}
+    stray = [(name, site) for name, where in sites.items() for site in where
+             if site[0] != "weyl.py" and site not in allowed]
     assert not stray, stray
