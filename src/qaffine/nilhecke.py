@@ -40,9 +40,9 @@ def bruhat_into(rs: RootSystem, mu: WeightVec, rule, raw: dict, out: dict) -> di
     w, t, v, w v, margin) gives the diagonal Scalar d_x, the groups of the
     rows ``cover_rows(rs, w, v)`` it reads and the slot of the vec weighting a
     row: c A_x maps to c d_x A_x + sum c <vec, mu> A_y, after A_x mu =
-    (x.mu) A_x + sum <beta^vee, mu> A_{x r_beta}.  A row's cocover y is formed
-    only for a nonzero weight, and each vec is paired once per call.  A term
-    below the superregular bound raises BudgetError.
+    (x.mu) A_x + sum <beta^vee, mu> A_{x r_beta}.  A row's cocover y, as
+    ``cover_rows`` gives it, is formed only for a nonzero weight, and each vec
+    is paired once per call.  A term below the superregular bound raises BudgetError.
     """
     bound = 2 * rs.weyl_order + 2
     weights: dict = {}  # vec -> <vec, mu>
