@@ -6,9 +6,9 @@ eliminations run over Q, and the quantum Schubert polynomials of B3, C3, G2
 and D4 have non-integral coefficients.  A polynomial is stored once in integer
 form, integer numerators over one positive denominator (``reduced_form``),
 so both routes multiply on ints and divide once at the end
-(``divide_raw``).  Structure constants and j-classes are integral
-(``to_int_coeffs`` checks the former; ``peterson.j_class`` checks that its
-denominator divides exactly).
+(``divide_raw``).  Structure constants and j-classes are integral, and
+``require_integral`` checks that the denominator divided every coefficient
+exactly.
 
 Monomials are packed exponent vectors (Monagan and Pearce, CASC 2007): the
 exponent of a_{i+1} sits in the ``FIELD``-bit field at bit ``FIELD * i`` of
@@ -386,6 +386,14 @@ def reduced_form(den: int, num: dict) -> tuple[int, dict]:
     if g == 1:
         return den, num
     return den // g, {k: {e: c // g for e, c in t.items()} for k, t in num.items()}
+
+
+def require_integral(dicts) -> None:
+    """Raises ValueError at the first coefficient of the packed dicts that is
+    not an int, as ``divide_raw`` leaves every integral quotient an int."""
+    bad = next((c for t in dicts for c in t.values() if type(c) is not int), None)
+    if bad is not None:
+        raise ValueError(f"non-integral coefficient {bad}")
 
 
 def divide_raw(raw: dict, den: int) -> dict:

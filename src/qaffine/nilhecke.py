@@ -6,71 +6,95 @@ Elements are dicts ``AffineElt -> Scalar`` with coefficients written on the
 left of the basis.  The W_af-action on weights is the level-zero one
 (translations act trivially, the affine node acts by the highest-root
 reflection).  ``bruhat_into`` is the one loop that accumulates a class over
-superregular cocovers, keyed by (w, t) pairs: under a rule it is a Bruhat
-operator of ``peterson``, the j-class step, or the commutator with the regular
-weight rho that certifies centrality.
+superregular cocovers, keyed by the superregular coordinates (u, v, lam) of
+x = w t_{v lam} = u t_lam v^{-1} (``weyl.coordinates``): under a rule it is a
+Bruhat operator of ``peterson``, the j-class step, or the commutator with the
+regular weight rho that certifies centrality.
 """
+
+from operator import add
 
 from .cartan import RootSystem, WeightVec
 from .coeffring import from_raw, packed_addmul, packed_axpy, settle, weight_diff
-from .weyl import (AffineElt, BudgetError, case_level, chamber_decompose, cover_rows, is_grassmannian, length,
-                   root_pairings, serialize)
+from .weyl import (BudgetError, coordinates, cover_table, from_coordinates, is_grassmannian, length, root_pairings,
+                   serialize)
 
 NilHeckeElt = dict  # AffineElt -> Scalar
 
-# a rule's row groups of cover_rows (w v, near, far), and its row weights alpha^vee or d
-NEAR, FAR, BOTH, COROOT, D = (1,), (2,), (1, 2), 1, 3
+# a rule's row groups (bits): NEAR, the up and quantum out-edges of u; FAR, the
+# down and q-up in-edges of v; and its row weight, <alpha^vee, mu> or <d, mu>
+# for d = v alpha^vee
+NEAR, FAR, BOTH = 1, 2, 3
+COROOT, D = False, True
 
 
 def to_pairs(a: NilHeckeElt) -> dict:
-    """The raw class of a, keyed by (x.w, x.t) pairs for the kernel."""
-    return {(x.w, x.t): c.packed for x, c in a.items()}
+    """The raw class of a, keyed by the coordinates (u, v, lam) of its terms."""
+    return {coordinates(x): c.packed for x, c in a.items()}
 
 
 def from_pairs(rs: RootSystem, raw: dict) -> NilHeckeElt:
-    """A settled raw class keyed by pairs as a NilHeckeElt: its keys are built here."""
-    return from_raw(rs, {AffineElt(w, t): c for (w, t), c in raw.items()})
+    """A settled raw class keyed by coordinates as a NilHeckeElt: its keys are
+    built here, each keeping its coordinates for a later ``to_pairs``."""
+    return from_raw(rs, {from_coordinates(*key): c for key, c in raw.items()})
 
 
 def bruhat_into(rs: RootSystem, mu: WeightVec, rule, raw: dict, out: dict) -> dict:
     """The Kostant-Kumar kernel: adds the image of the raw class ``raw``, keyed
-    by (w, t) pairs, into the accumulator ``out`` and returns it, unsettled.
+    by coordinates (u, v, lam), into the accumulator ``out`` and returns it,
+    unsettled.
 
-    For a superregular x = w t, t = v lam with lam antidominant, rule(rs, mu,
-    w, t, v, w v, margin) gives the diagonal Scalar d_x, the groups of the
-    rows ``cover_rows(rs, w, v)`` it reads and the slot of the vec weighting a
-    row: c A_x maps to c d_x A_x + sum c <vec, mu> A_y, after A_x mu =
-    (x.mu) A_x + sum <beta^vee, mu> A_{x r_beta}.  A row's cocover y, as
-    ``cover_rows`` gives it, is formed only for a nonzero weight, and each vec
-    is paired once per call.  A term below the superregular bound raises BudgetError.
+    A superregular x = u t_lam v^{-1} has two kinds of cocovers: (u r_alpha, v,
+    lam + e alpha^vee) over the up (e = 0) and quantum (e = 1) out-edges of u in
+    the quantum Bruhat graph, and (u, v r_alpha, lam + e alpha^vee) over the
+    down (e = 0) and q-up (e = 1) in-edges of v, all read off ``cover_table``.
+    rule(rs, mu, u, v, lam, margin) gives the diagonal Scalar d_x, the row
+    groups it reads and its row weight: c A_x maps to c d_x A_x + sum c k A_y,
+    k = <alpha^vee, mu> or <v alpha^vee, mu>, after A_x mu = (x.mu) A_x + sum
+    <beta^vee, mu> A_{x r_beta}.  Neither rows nor weights depend on lam, which
+    enters through the margin, read once per distinct lam, and the shift by
+    e alpha^vee.  A term below the superregular bound raises BudgetError.
     """
     bound = 2 * rs.weyl_order + 2
-    weights: dict = {}  # vec -> <vec, mu>
-    for (w, t), c in raw.items():
-        pr = root_pairings(rs, t)
-        margin = min(map(abs, pr)) - bound
+    npos = len(rs.positive_roots)
+    margins: dict = {}  # lam -> margin beyond the bound
+    weights: dict = {}  # None, or v for the weight d: {alpha^vee: k}
+    for key, c in raw.items():
+        u, v, lam = key
+        margin = margins.get(lam)
+        if margin is None:
+            margin = margins[lam] = min(map(abs, root_pairings(rs, lam))) - bound
         if margin < 0:
-            raise BudgetError(f"{AffineElt(w, t)!r} is not superregular")
-        v = chamber_decompose(rs, t)[0]
-        rows = cover_rows(rs, w, v)
-        diag, groups, slot = rule(rs, mu, w, t, v, rows[0], margin)
+            raise BudgetError(f"{from_coordinates(u, v, lam)!r} is not superregular")
+        diag, groups, twisted = rule(rs, mu, u, v, lam, margin)
         if diag:
-            packed_addmul(out, (w, t), c, diag.packed)
-        for g in groups:
-            for row in rows[g]:
-                k = weights.get(row[slot])
-                if k is None:
-                    k = weights[row[slot]] = rs.pair_weight(row[slot], mu)
-                if k:
-                    p = pr[row[5]]
-                    m = case_level(row[4], p) - p
-                    packed_axpy(out, (row[2], tuple([a + m * e for a, e in zip(t, row[3])]) if m else t), c, k)
+            packed_addmul(out, key, c, diag.packed)
+        wk = v if twisted else None
+        wt = weights.get(wk)
+        if wt is None:
+            # <v alpha^vee, mu> = <alpha^vee, v^{-1} mu>
+            nu = v.inverse().act_weight(mu) if twisted else mu
+            wt = weights[wk] = {avee: rs.pair_weight(avee, nu) for avee in rs.coroots[:npos]}
+        if groups & NEAR:
+            ups, quantums, _, _ = cover_table(rs, u)
+            for rows, e in ((ups, 0), (quantums, 1)):
+                for _a, avee, ur in rows:
+                    k = wt[avee]
+                    if k:
+                        packed_axpy(out, (ur, v, tuple(map(add, lam, avee)) if e else lam), c, k)
+        if groups & FAR:
+            _, _, downs, qups = cover_table(rs, v)
+            for rows, e in ((downs, 0), (qups, 1)):
+                for _a, avee, vr in rows:
+                    k = wt[avee]
+                    if k:
+                        packed_axpy(out, (u, vr, tuple(map(add, lam, avee)) if e else lam), c, k)
     return out
 
 
-def _commutator_rule(rs, mu, w, t, v, wv, margin):
-    """[mu, A_x]: diagonal mu - x.w mu, every cocover weighted by <d, mu>."""
-    return weight_diff(rs, mu, w), BOTH, D
+def _commutator_rule(rs, mu, u, v, lam, margin):
+    """[mu, A_x]: diagonal mu - x.w mu, x.w = u v^{-1}, every cocover weighted by <d, mu>."""
+    return weight_diff(rs, mu, u * v.inverse()), BOTH, D
 
 
 def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
@@ -85,8 +109,8 @@ def is_central(rs: RootSystem, a: NilHeckeElt) -> bool:
     w != id, and Q(S) is a field; so [rho, a] = 0 iff a is supported on
     translations, that is iff a commutes with every weight.
 
-    ``bruhat_into`` accumulates [rho, a] exactly, a keyed by pairs: c A_x gives
-    c (rho - x.rho) at x, and -c <beta^vee, rho> = c <d, rho> at each
+    ``bruhat_into`` accumulates [rho, a] exactly, a keyed by coordinates: c A_x
+    gives c (rho - x.rho) at x, and -c <beta^vee, rho> = c <d, rho> at each
     cocover.  a is central iff the commutator settles to 0.
     """
     return not settle(bruhat_into(rs, rs.rho, _commutator_rule, to_pairs(a), {}))

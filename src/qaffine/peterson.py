@@ -7,18 +7,21 @@ the affine Schubert classes, their products, and the isomorphism onto the
 localized quantum ring are computed.  ``B`` and ``C`` are rules (a per-term
 margin check, a diagonal, and the near or far rows each weighted by its
 coroot) over the Kostant-Kumar kernel ``nilhecke.bruhat_into``, which the
-centrality certificate shares.  A j-class is the quantum Schubert polynomial
-of its Weyl part evaluated at the commuting operators B^{omega_i} by
-``quantum.horner``, which also evaluates the polynomials on the quantum
-route, stepping by the kernel on raw classes keyed by (w, t) pairs; no
-b-element is built on the product path, and the class itself is certified.
+centrality certificate shares.  A j-class is computed once per Weyl element
+w, at one canonical depth: the quantum Schubert polynomial of w evaluated at
+the commuting operators B^{omega_i} by ``quantum.horner``, which also
+evaluates the polynomials on the quantum route, stepping by the kernel on raw
+classes keyed by the coordinates (u, v, lam); no b-element is built on the
+product path, and the class itself is certified.  Every j-class of w is that
+class shifted in lam.
 """
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 from .cartan import CorootVec, RootSystem, WeightVec, cached
-from .coeffring import Scalar, divide_raw, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
+from .coeffring import (Scalar, divide_raw, from_raw, packed_addmul, packed_axpy, require_integral, scalar_one, settle,
+                        weight_diff)
 from .nilhecke import COROOT, FAR, NEAR, NilHeckeElt, act_on_homology, bruhat_into, from_pairs, is_central, mod_J, to_pairs
 from .quantum import QHClass, gw_coefficient, horner, schubert_poly
 from .weyl import (
@@ -27,7 +30,9 @@ from .weyl import (
     WeylElt,
     affine_simple_reflection,
     chamber_decompose,
+    coordinates,
     enumerate_weyl,
+    from_coordinates,
     is_grassmannian,
     is_superregular,
     length,
@@ -48,20 +53,20 @@ def _require_margin(x: AffineElt, units: int = 1):
                           f"(pairing units beyond 2|W| + 2)")
 
 
-def _b_rule(rs, mu, w, t, v, wv, margin):
+def _b_rule(rs, mu, u, v, lam, margin):
     if margin < 4:
-        _require_margin(AffineElt(w, t))
-    return weight_diff(rs, mu, wv), NEAR, COROOT
+        _require_margin(from_coordinates(u, v, lam))
+    return weight_diff(rs, mu, u), NEAR, COROOT
 
 
-def _c_rule(rs, mu, w, t, v, wv, margin):
+def _c_rule(rs, mu, u, v, lam, margin):
     if margin < 4:
-        _require_margin(AffineElt(w, t))
+        _require_margin(from_coordinates(u, v, lam))
     return weight_diff(rs, mu, v), FAR, COROOT
 
 
 def b_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
-    """Near equivariant affine Bruhat operator B^mu: diagonal mu - w v mu, weights <alpha^vee, mu>."""
+    """Near equivariant affine Bruhat operator B^mu: diagonal mu - u mu, weights <alpha^vee, mu>."""
     return from_pairs(rs, settle(bruhat_into(rs, mu, _b_rule, to_pairs(f), {})))
 
 
@@ -70,17 +75,13 @@ def c_op(rs: RootSystem, mu: WeightVec, f: GroupAlgebraElt) -> GroupAlgebraElt:
     return from_pairs(rs, settle(bruhat_into(rs, mu, _c_rule, to_pairs(f), {})))
 
 
-def _add_translations(rs: RootSystem, acc: dict, lam: CorootVec, a: dict) -> dict:
-    """acc += a sum_{w in W} t_{w lam} on a raw class keyed by pairs."""
-    e = weyl_identity(rs)
-    for w in enumerate_weyl(rs):
-        packed_axpy(acc, (e, w.act_coroot(lam)), a, 1)
-    return acc
-
-
 def sum_translations(rs: RootSystem, lam: CorootVec) -> GroupAlgebraElt:
-    """sum_{w in W} t_{w lam}."""
-    return from_pairs(rs, settle(_add_translations(rs, {}, lam, scalar_one(rs).packed)))
+    """sum_{w in W} t_{w lam}: a singular lam gets its stabilizer's order as coefficient."""
+    e, one = weyl_identity(rs), scalar_one(rs).packed
+    raw: dict = {}
+    for w in enumerate_weyl(rs):
+        packed_axpy(raw, AffineElt(e, w.act_coroot(lam)), one, 1)
+    return from_raw(rs, settle(raw))
 
 
 def theta_map(rs: RootSystem, w: WeylElt, lam: CorootVec, sigma: QHClass) -> GroupAlgebraElt:
@@ -124,34 +125,103 @@ def j_units_needed(rs: RootSystem, w: WeylElt) -> int:
     return worst
 
 
-@cached("jclass")
-def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
-    """j(xi_x) for Grassmannian superregular x = w t_lam: the quantum
+def _j_raw(rs: RootSystem, w: WeylElt, lam: CorootVec) -> dict:
+    """The raw class of j_{w t_lam}, keyed by coordinates: the quantum
     Schubert polynomial of w at the operators B^{omega_i}.
 
     ``quantum.horner`` seeds a term a q^shift omega^word with
-    a sum_v t_{v(lam + shift)} and steps by B^{omega_i} (S-linear, and the B
-    operators commute), each step ``bruhat_into`` under the B rule from a
-    raw node into its parent, keyed by (w, t) pairs, on the integer numerators;
-    the root is divided by the denominator once, and a remainder raises
-    ValueError.  Centrality and a Grassmannian part of exactly A_x
-    characterize j_x; both are certified on the returned class.
+    a sum_v t_{v(lam + shift)}, the keys (v, v, lam + shift), and steps by
+    B^{omega_i} (S-linear, and the B operators commute), each step
+    ``bruhat_into`` under the B rule from a raw node into its parent, on the
+    integer numerators; the root is divided by the denominator once, and a
+    remainder raises ValueError.
+    """
+    W = enumerate_weyl(rs)
+    poly = schubert_poly(rs, w)
+
+    def seed(acc, q, a):
+        top = tuple(map(add, lam, q))
+        if not (rs.is_antidominant(top) and rs.is_regular(top)):
+            raise BudgetError(f"seed t_{list(top)} of a j-class is not regular antidominant")
+        for v in W:
+            packed_axpy(acc, (v, v, top), a, 1)
+
+    root = horner(poly, seed, lambda i, raw, out: bruhat_into(rs, rs.fundamental_weight(i), _b_rule, raw, out))
+    raw = divide_raw(root, poly.den)
+    require_integral(raw.values())
+    return raw
+
+
+@cached("jcanon")
+def _canonical_j(rs: RootSystem, w: WeylElt) -> tuple[CorootVec, NilHeckeElt]:
+    """(lam_c, j_{w t_lam_c}) at the depth lam_c that the operator steps of w
+    need, certified central with Grassmannian part A_{w t_lam_c}."""
+    lam = superregular_antidominant(rs, units=j_units_needed(rs, w))
+    a = from_pairs(rs, _j_raw(rs, w, lam))
+    if mod_J(a) != {AffineElt(w, lam): scalar_one(rs)}:
+        raise AssertionError("j class Grassmannian part is not A_x")
+    if not is_central(rs, a):
+        raise AssertionError("j class is not central")
+    return lam, a
+
+
+def _shift(rs: RootSystem, a: NilHeckeElt, mu: CorootVec) -> NilHeckeElt:
+    """S_mu: u t_lam v^{-1} -> u t_{lam + mu} v^{-1}, that is y -> y.w t_{y.t + v mu},
+    on a class whose terms have coordinates (u, v, lam).  Every lam + mu must
+    be antidominant and superregular, or BudgetError."""
+    bound = 2 * rs.weyl_order + 2
+    npos = len(rs.positive_roots)
+    pmu = root_pairings(rs, mu)[:npos]
+    deep: dict = {}  # lam -> lam + mu, checked
+    moves: dict = {}  # v -> v mu
+    out = {}
+    for y, c in a.items():
+        u, v, lam = coordinates(y)
+        top = deep.get(lam)
+        if top is None:
+            # antidominant and superregular: <lam + mu, alpha> <= -bound for every alpha > 0
+            if max(map(add, root_pairings(rs, lam)[:npos], pmu)) > -bound:
+                raise BudgetError(f"j-class term {y!r} shifted by {list(mu)} "
+                                  f"leaves the superregular antidominant chamber")
+            top = deep[lam] = tuple(map(add, lam, mu))
+        vmu = moves.get(v)
+        if vmu is None:
+            vmu = moves[v] = v.act_coroot(mu)
+        out[AffineElt(y.w, tuple(map(add, y.t, vmu)), (u, v, top))] = c
+    return out
+
+
+@cached("jclass")
+def j_class(rs: RootSystem, x: AffineElt) -> NilHeckeElt:
+    """j(xi_x) for Grassmannian superregular x = w t_lam: the canonical class
+    of w shifted in lam, its Grassmannian part certified.
+
+    The class of w is computed once, at lam_c = superregular_antidominant(rs,
+    units=j_units_needed(rs, w)), and certified there, central with
+    Grassmannian part A_{w t_lam_c}.  x is served as S_mu of it, mu = lam -
+    lam_c, S_mu moving each term of coordinates (u, v, lam') to (u, v,
+    lam' + mu), that is y to y.w t_{y.t + v mu}.  Why S_mu a is j_x, for a the
+    canonical class, with no second centrality check:
+
+    * the kernel reads lam' only through the margin and the targets
+      lam' + e alpha^vee; diagonals, rows and weights read u and v alone.  So
+      on classes whose terms are all superregular, [rho, S_mu a] = S_mu [rho, a]
+      term by term, and S_mu is injective on coordinates; [rho, a] = 0 gives
+      [rho, S_mu a] = 0, and ``is_central``'s criterion is exact there.
+      ``_shift`` refuses any lam' + mu that is not antidominant and
+      superregular;
+    * a superregular element is Grassmannian iff v = id, which S_mu keeps, so
+      the Grassmannian part of S_mu a is A_x; it is checked all the same;
+    * j_x is the unique central element with Grassmannian part A_x (Peterson;
+      Lam, J. AMS 21 (2008)).
     """
     if not is_grassmannian(x):
         raise ValueError("j classes are indexed by Grassmannian elements")
     _require_margin(x, units=j_units_needed(rs, x.w))
-    poly = schubert_poly(rs, x.w)
-    root = horner(poly, lambda acc, q, a: _add_translations(rs, acc, tuple(map(add, x.t, q)), a),
-                  lambda i, raw, out: bruhat_into(rs, rs.fundamental_weight(i), _b_rule, raw, out))
-    raw = divide_raw(root, poly.den)
-    bad = next((c for t in raw.values() for c in t.values() if type(c) is not int), None)
-    if bad is not None:
-        raise ValueError(f"non-integral coefficient {bad}")
-    out = from_pairs(rs, raw)
+    lam, a = _canonical_j(rs, x.w)
+    out = _shift(rs, a, tuple(map(sub, x.t, lam)))
     if mod_J(out) != {x: scalar_one(rs)}:
         raise AssertionError("j class Grassmannian part is not A_x")
-    if not is_central(rs, out):
-        raise AssertionError("j class is not central")
     return out
 
 

@@ -29,6 +29,7 @@ from .coeffring import (
     packed_addmul,
     packed_axpy,
     reduced_form,
+    require_integral,
     scalar_one,
     settle,
     to_raw,
@@ -240,7 +241,8 @@ def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
         poly, other = known, short
     out = evaluate_poly(rs, poly, qh_basis(rs, other))
     # rational bookkeeping must cancel: structure constants live in Z[alpha]
-    return {k: c.to_int_coeffs() for k, c in out.items()}
+    require_integral(c.packed for c in out.values())
+    return out
 
 
 def product(rs: RootSystem, a: QHClass, b: QHClass) -> QHClass:

@@ -230,12 +230,13 @@ def longest_element(rs: RootSystem) -> WeylElt:
 class AffineElt:
     """Element w t_lam of the affine Weyl group W_af = W x Q^vee."""
 
-    __slots__ = ("w", "t", "_len", "_hash")
+    __slots__ = ("w", "t", "_len", "_key", "_hash")
 
-    def __init__(self, w: WeylElt, t: CorootVec):
+    def __init__(self, w: WeylElt, t: CorootVec, key: tuple | None = None):
         self.w = w
         self.t = t
         self._len = None
+        self._key = key  # the coordinates (u, v, lam), where known
         self._hash = hash((w._hash, t))
 
     def __eq__(self, other):
@@ -405,6 +406,21 @@ def chamber_decompose(rs: RootSystem, tau: CorootVec) -> tuple[WeylElt, CorootVe
                 break
         else:
             return v, v.inverse().act_coroot(tau)
+
+
+def coordinates(x: AffineElt) -> tuple[WeylElt, WeylElt, CorootVec]:
+    """The superregular coordinates (u, v, lam) of x = w t_{v lam} = u t_lam v^{-1},
+    lam antidominant and u = w v, memoized on x; v is the chamber of x.t."""
+    key = x._key
+    if key is None:
+        v, lam = chamber_decompose(x.rs, x.t)
+        key = x._key = (x.w * v, v, lam)
+    return key
+
+
+def from_coordinates(u: WeylElt, v: WeylElt, lam: CorootVec) -> AffineElt:
+    """u t_lam v^{-1} = (u v^{-1}) t_{v lam}, its coordinates (u, v, lam) kept on it."""
+    return AffineElt(u * v.inverse(), v.act_coroot(lam), (u, v, lam))
 
 
 def superregular_margin(x: AffineElt) -> int:

@@ -18,8 +18,9 @@ from qaffine.weyl import (
     affine_simple_reflection,
     chamber_decompose,
     cocovers,
-    cover_rows,
+    coordinates,
     enumerate_weyl,
+    from_coordinates,
     is_grassmannian,
     is_superregular,
     length,
@@ -343,41 +344,93 @@ def test_superregular_cocover_pairs_match_enumeration():
 
 
 def test_bruhat_operator_and_centrality_share_one_reader_entry():
-    # b_op and is_central read the cocovers of x = w t_{v lam} from one cached
-    # row table per (w, v), and cache nothing per (w, t)
+    # b_op and is_central read the cocovers of x = u t_lam v^{-1} off the
+    # quantum Bruhat graph at u and at v, and cache nothing per (w, t) or per
+    # chamber pair; the chamber of x is derived once, and the elements b_op
+    # returns keep their coordinates, so certifying them derives none
     rs = cartan.build("B2")
     W = enumerate_weyl(rs)
     x = AffineElt(W[3], W[5].act_coroot(superregular_antidominant(rs, units=1)))
-    v = chamber_decompose(rs, x.t)[0]
     f = {x: one(rs)}
     before = set(rs._cache)
-    peterson.b_op(rs, rs.fundamental_weight(0), f)
+    img = peterson.b_op(rs, rs.fundamental_weight(0), f)
     is_central(rs, f)
     added = set(rs._cache) - before
-    assert [k for k in added if k[0] == "coverrows"] == [("coverrows", x.w, v)]
+    u, v, _lam = coordinates(x)
+    assert not [k for k in added if k[0] in ("coverrows", "sregcovers")], added
+    assert [k for k in added if k[0] == "chamber"] == [("chamber", x.t)]
+    assert {k for k in added if k[0] == "covers"} <= {("covers", u), ("covers", v)}
     assert not [k for k in added if k[1:] == (x.w, x.t)], added
+    assert all(y._key is not None for y in img)
+    before = set(rs._cache)
+    is_central(rs, img)
+    assert not [k for k in set(rs._cache) - before if k[0] == "chamber"]
 
 
 def test_kernel_targets_are_the_enumerated_cocovers():
     # the commutator rule reads every row and weights it by <d, rho> != 0, so
     # on the single term x the kernel's off-diagonal keys are exactly the
-    # (y.w, y.t) of the cocovers y of x; over all four cases this pins each
-    # entry of the case-level table
+    # coordinates of the cocovers y of x; all four edge kinds are seen: a near
+    # cocover moves u, a far one v, and a quantum or q-up edge also moves lam
     rng = random.Random(61)
     for lbl in ["A2", "B2", "G2", "A3"]:
         rs = cartan.build(lbl)
         W = enumerate_weyl(rs)
-        cases = set()
+        kinds = set()
         for units in (0, 2, 5):
             lam = superregular_antidominant(rs, units=units)
             for _ in range(8):
                 x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
-                out = nilhecke.bruhat_into(rs, rs.rho, nilhecke._commutator_rule, {(x.w, x.t): one(rs).packed}, {})
-                got = set(out) - {(x.w, x.t)}
+                key = coordinates(x)
+                out = nilhecke.bruhat_into(rs, rs.rho, nilhecke._commutator_rule, {key: one(rs).packed}, {})
+                targets = set(out) - {key}
+                got = {(y.w, y.t) for y in (from_coordinates(*k) for k in targets)}
                 assert got == {(c.target.w, c.target.t) for c in cocovers(x)}, (lbl, x)
-                _wv, near, far = cover_rows(rs, x.w, chamber_decompose(rs, x.t)[0])
-                cases |= {row[4] for row in near + far}
-        assert cases == {1, 2, 3, 4}, (lbl, cases)
+                assert targets == {coordinates(c.target) for c in cocovers(x)}, (lbl, x)
+                u, v, lam_x = key
+                for yu, yv, ylam in targets:
+                    assert (yu is u) != (yv is v), (lbl, x)
+                    kinds.add(("far" if yu is u else "near", ylam != lam_x))
+        assert len(kinds) == 4, (lbl, kinds)
+
+
+def _random_class(rng, rs, W, lam, size):
+    """A raw class keyed by coordinates over lam and its neighbours lam - alpha_i^vee."""
+    raw = {}
+    lams = [lam] + [tuple(c - (k == i) for k, c in enumerate(lam)) for i in range(rs.rank)]
+    for _ in range(size):
+        key = (rng.choice(W), rng.choice(W), rng.choice(lams))
+        s = Scalar.var(rng.randrange(rs.rank), rs.rank) * rng.randint(-2, 2) + one(rs) * rng.randint(1, 3)
+        packed_axpy(raw, key, s.packed, 1)
+    return settle(raw)
+
+
+def _shifted(raw, mu):
+    """S_mu on a raw class keyed by coordinates: (u, v, lam) -> (u, v, lam + mu)."""
+    return {(u, v, tuple(a + b for a, b in zip(lam, mu))): t for (u, v, lam), t in raw.items()}
+
+
+def test_kernel_is_shift_equivariant():
+    # the kernel reads lam only through the margin and lam + e alpha^vee, so on
+    # superregular classes it commutes with S_mu: (u, v, lam) -> (u, v, lam + mu),
+    # under the B, C and commutator rules, mu any antidominant coroot
+    rng = random.Random(67)
+    rules = [(peterson._b_rule, False), (peterson._c_rule, False), (nilhecke._commutator_rule, True)]
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        lam = superregular_antidominant(rs, units=2)
+        moved = 0
+        for _ in range(6):
+            raw = _random_class(rng, rs, W, lam, rng.randint(1, 6))
+            mu = chamber_decompose(rs, tuple(rng.randint(-3, 3) for _ in range(rs.rank)))[1]
+            for rule, regular in rules:
+                weight = rs.rho if regular else tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+                image = settle(nilhecke.bruhat_into(rs, weight, rule, raw, {}))
+                shifted = settle(nilhecke.bruhat_into(rs, weight, rule, _shifted(raw, mu), {}))
+                assert shifted == _shifted(image, mu), (lbl, rule.__name__, mu)
+                moved += bool(any(mu) and image)
+        assert moved, lbl
 
 
 def test_commutator_is_twisted_b_minus_twisted_c():
@@ -488,6 +541,77 @@ def test_j_class_matches_the_fraction_route():
     assert dens == {1, 2}
 
 
+def _depths(rs, w):
+    """Two depths for w beyond its canonical one: one unit of margin deeper,
+    and a shift that is not a multiple of the canonical direction."""
+    lam = _jclass_input(rs, w).t
+    tilt = chamber_decompose(rs, tuple(range(1, rs.rank + 1)))[1]
+    return [tuple(a + b for a, b in zip(lam, superregular_antidominant(rs, units=1))),
+            tuple(a + b for a, b in zip(lam, tilt))]
+
+
+def _direct_j(rs, x):
+    """j_x by Horner at the depth of x itself, no shift."""
+    return nilhecke.from_pairs(rs, peterson._j_raw(rs, x.w, x.t))
+
+
+def test_j_class_at_two_depths_is_the_direct_computation():
+    # every request is the canonical class of its Weyl part shifted in lam; at
+    # two further depths it equals Horner run at that depth, and it passes
+    # both certificates, for every Weyl element of each type
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        rs = cartan.build(lbl)
+        for w in enumerate_weyl(rs):
+            for lam in _depths(rs, w):
+                x = AffineElt(w, lam)
+                j = peterson.j_class(rs, x)
+                assert j == _direct_j(rs, x), (lbl, w, lam)
+                assert mod_J(j) == {x: one(rs)} and is_central(rs, j), (lbl, w, lam)
+        assert len({k[1] for k in rs._cache if k[0] == "jcanon"}) == len(enumerate_weyl(rs)), lbl
+
+
+def test_shifting_t_instead_of_lam_fails(monkeypatch):
+    # mutant: move each term y to y.w t_{y.t + mu}, where the shift is
+    # y.w t_{y.t + v_y mu}; each class has terms off the identity chamber, so
+    # it keeps its Grassmannian part but differs from the direct computation
+    # and is not central
+    def shift_t(rs, a, mu):
+        return {y.translate(mu): c for y, c in a.items()}
+
+    monkeypatch.setattr(peterson, "_shift", shift_t)
+    for lbl in ["A2", "B2", "G2"]:
+        rs = cartan.build(lbl)
+        for w in enumerate_weyl(rs):
+            x = AffineElt(w, _depths(rs, w)[1])
+            j = peterson.j_class(rs, x)
+            assert j != _direct_j(rs, x) and not is_central(rs, j), (lbl, w)
+
+
+def test_shift_refuses_terms_that_leave_the_superregular_chamber(monkeypatch):
+    # planted: with the margin charged up front waived, a shallow request is
+    # served by shifting the deep canonical class up to it, and some terms land
+    # below the superregular bound, where the shift is not proven to commute
+    # with the kernel and no centrality certificate applies; the per-term
+    # check refuses them, and without it such a class is returned
+    rs = cartan.build("A2")
+    w = simple_reflection(rs, 0) * simple_reflection(rs, 1)
+    x = AffineElt(w, superregular_antidominant(rs))
+    assert 0 <= superregular_margin(x) < 4 * peterson.j_units_needed(rs, w)
+    monkeypatch.setattr(peterson, "_require_margin", lambda x, units=1: None)
+    with pytest.raises(BudgetError, match="leaves the superregular antidominant chamber"):
+        peterson.j_class(rs, x)
+    assert not [k for k in rs._cache if k[0] == "jclass"]
+
+    def unchecked(rs, a, mu):
+        return nilhecke.from_pairs(rs, _shifted(nilhecke.to_pairs(a), mu))
+
+    monkeypatch.setattr(peterson, "_shift", unchecked)
+    j = peterson.j_class(rs, x)
+    assert not all(is_superregular(y) for y in j)
+    with pytest.raises(BudgetError, match="not superregular"):
+        is_central(rs, j)
+
+
 def test_j_class_refuses_a_non_integral_sum(monkeypatch):
     # a planted 1/2 on the one coefficient 1 of A2's s_1 makes every
     # coefficient of the sum 3/2 times an integral one
@@ -502,9 +626,10 @@ def test_j_class_refuses_a_non_integral_sum(monkeypatch):
 
 
 def test_j_classes_make_one_check_each_and_one_b_step_per_prefix(monkeypatch):
-    # a j-class evaluates its polynomial at the B operators over the word trie
-    # of its polynomial, one raw kernel step with the B rule per distinct
-    # non-empty prefix, builds no b-element, and only the class is certified
+    # the class of w is computed once: its polynomial at the B operators over
+    # the word trie, one raw kernel step with the B rule per distinct
+    # non-empty prefix, no b-element, and one centrality certificate; a second
+    # depth of the same w is a shift, with no step and no certificate
     central = steps = 0
     real_bruhat_into = peterson.bruhat_into
 
@@ -524,6 +649,7 @@ def test_j_classes_make_one_check_each_and_one_b_step_per_prefix(monkeypatch):
     monkeypatch.setattr(peterson, "b_op", None)  # the step must not go through b_op
     for lbl, max_len in [("B2", 4), ("G2", 3)]:
         rs = cartan.build(lbl)
+        deeper = superregular_antidominant(rs, units=1)
         for w in enumerate_weyl(rs):
             if w.length() <= max_len:
                 x = _jclass_input(rs, w)
@@ -532,6 +658,9 @@ def test_j_classes_make_one_check_each_and_one_b_step_per_prefix(monkeypatch):
                 peterson.j_class(rs, x)
                 assert central == 1, (lbl, w)
                 assert steps == len({word[:k] for word in words for k in range(1, len(word) + 1)}), (lbl, w)
+                central = steps = 0
+                peterson.j_class(rs, x.translate(deeper))
+                assert central == steps == 0, (lbl, w)
 
 
 def test_raw_j_class_step_keeps_its_margin_check(monkeypatch):
@@ -547,6 +676,15 @@ def test_raw_j_class_step_keeps_its_margin_check(monkeypatch):
     with pytest.raises(BudgetError, match="margin needed 4"):
         peterson.j_class(rs, x)
     assert not [k for k in rs._cache if k[0] == "jclass"]
+
+
+def test_j_class_seeds_must_be_regular_antidominant():
+    # a seed sum_v t_{v(lam + q)} is keyed (v, v, lam + q), which names |W|
+    # distinct translations only for lam + q regular antidominant
+    rs = cartan.build("A2")
+    for lam in [(-1, 0), (-2, -1)]:
+        with pytest.raises(BudgetError, match="not regular antidominant"):
+            peterson._j_raw(rs, simple_reflection(rs, 0), lam)
 
 
 def test_commutator_through_the_kernel_is_the_reference_value():

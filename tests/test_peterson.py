@@ -30,6 +30,7 @@ from qaffine.weyl import (
     AffineElt,
     affine_simple_reflection,
     enumerate_weyl,
+    from_coordinates,
     simple_reflection,
     superregular_antidominant,
     translation,
@@ -43,18 +44,19 @@ def one(rs):
 
 # The twisted Bruhat operators, kept here as references: rules over the
 # Kostant-Kumar kernel that weight each row by its d = v alpha^vee.  Their
-# difference is the commutator with the weight (test_nilhecke).
+# difference is the commutator with the weight (test_nilhecke).  A term has
+# coordinates (u, v, lam) and Weyl part w = u v^{-1}.
 
-def _twisted_b_rule(rs, mu, w, t, v, wv, margin):
+def _twisted_b_rule(rs, mu, u, v, lam, margin):
     if margin < 4:
-        peterson._require_margin(AffineElt(w, t))
-    return weight_diff(rs, mu, w) - weight_diff(rs, mu, v.inverse()), NEAR, D
+        peterson._require_margin(from_coordinates(u, v, lam))
+    return weight_diff(rs, mu, u * v.inverse()) - weight_diff(rs, mu, v.inverse()), NEAR, D
 
 
-def _twisted_c_rule(rs, mu, w, t, v, wv, margin):
+def _twisted_c_rule(rs, mu, u, v, lam, margin):
     # called with -mu, so its diagonal is -(mu - v^{-1} mu)
     if margin < 4:
-        peterson._require_margin(AffineElt(w, t))
+        peterson._require_margin(from_coordinates(u, v, lam))
     return weight_diff(rs, mu, v.inverse()), FAR, D
 
 

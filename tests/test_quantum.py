@@ -268,6 +268,17 @@ def test_planted_wrong_coefficient_fails_the_round_trip():
             assert evaluate_poly(rs, schubert_poly(rs, u)) == qh_basis(rs, u)
 
 
+def test_product_basis_refuses_a_non_integral_product():
+    # a planted denominator 2 on A2's sigma^{s1} makes the product with
+    # sigma^{s2} carry halves, which the one integrality pass refuses
+    rs = cartan.build("A2")
+    s1, s2 = simple_reflection(rs, 0), simple_reflection(rs, 1)
+    poly = schubert_poly(rs, s1)
+    rs._cache[("qschub", s1)] = QSchubertPoly(s1, poly.num, 2)
+    with pytest.raises(ValueError, match="non-integral coefficient 1/2"):
+        product_basis(rs, s1, s2)
+
+
 def test_divisor_associativity():
     # chevalley(i, chevalley(j, .)) = chevalley(j, chevalley(i, .))
     for lbl in ["A2", "B2"]:

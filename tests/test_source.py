@@ -68,12 +68,13 @@ def test_cache_tags_are_distinct():
 
 
 def test_only_the_kernel_accumulates_superregular_cocovers():
-    # nilhecke.bruhat_into is the one loop that turns cover rows into an
-    # accumulated class, each row's level read through weyl.case_level, the
-    # one reader of the case table; outside weyl (the rows, the case levels,
-    # the entry reader and its certificate) only the kernel and the
-    # quantum-Bruhat path walk may read rows, levels or entries
-    readers = ("cover_rows", "case_level", "superregular_cocovers")
+    # nilhecke.bruhat_into is the one loop that turns superregular cocovers
+    # into an accumulated class, keyed by the coordinates (u, v, lam): it reads
+    # the quantum Bruhat graph (weyl.cover_table) at u and at v, and none of
+    # the (w, t) readers, the chamber pair rows, the case levels, the entries
+    # or the chamber; outside weyl only the quantum-Bruhat path walk reads
+    # those, and weyl.case_level alone reads the case table
+    readers = ("cover_rows", "case_level", "superregular_cocovers", "chamber_decompose", "cover_table")
     sites = {name: set() for name in readers}
     case_table = set()
     for path in sorted(SRC.glob("*.py")):
@@ -86,10 +87,9 @@ def test_only_the_kernel_accumulates_superregular_cocovers():
                 if isinstance(node, ast.Name) and node.id == "_CASE_LEVEL" and isinstance(node.ctx, ast.Load):
                     case_table.add((path.name, getattr(top, "name", None)))
     kernel = ("nilhecke.py", "bruhat_into")
-    assert kernel in sites["cover_rows"] and kernel in sites["case_level"]
-    assert kernel not in sites["superregular_cocovers"]
+    assert kernel in sites["cover_table"]
+    assert not [name for name in readers[:4] if kernel in sites[name]]
     assert case_table == {("weyl.py", "case_level")}
-    allowed = {kernel, ("qbruhat.py", "path_endpoint")}
-    stray = [(name, site) for name, where in sites.items() for site in where
-             if site[0] != "weyl.py" and site not in allowed]
+    stray = [(name, site) for name in readers[:3] for site in sites[name]
+             if site[0] != "weyl.py" and site != ("qbruhat.py", "path_endpoint")]
     assert not stray, stray
