@@ -137,7 +137,6 @@ def act_on_homology(rs: RootSystem, a: NilHeckeElt, xi: dict) -> dict:
         zpr = root_pairings(rs, z.t)
         zs.append((z, cz.packed, length(z), [(z.w.perm[s], zpr[s]) for s in simple]))
     for y, cy in a.items():
-        ly = length(y)
         t = cy.packed
         ypr = root_pairings(rs, y.t)
         yp = y.w.perm
@@ -148,7 +147,7 @@ def act_on_homology(rs: RootSystem, a: NilHeckeElt, xi: dict) -> dict:
                     break
             else:
                 yz = y * z
-                if ly + lz == length(yz):
+                if length(y) + lz == length(yz):
                     packed_addmul(out, yz, t, tz)
     return from_raw(rs, settle(out))
 

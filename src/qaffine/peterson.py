@@ -13,7 +13,8 @@ the commuting operators B^{omega_i} by ``quantum.horner``, which also
 evaluates the polynomials on the quantum route, stepping by the kernel on raw
 classes keyed by the coordinates (u, v, lam); no b-element is built on the
 product path, and the class itself is certified.  Every j-class of w is that
-class shifted in lam.
+class shifted in lam, and the product xi_x xi_z reads only the terms of j_x in
+the chamber v = z.w.
 """
 
 from dataclasses import dataclass
@@ -262,11 +263,42 @@ def hom_basis(rs: RootSystem, x: AffineElt) -> HomologyClass:
     return HomologyClass(rs, {x: scalar_one(rs)})
 
 
+@cached("jchamber")
+def j_chambers(rs: RootSystem, x: AffineElt) -> dict:
+    """j_class(rs, x) split by the chamber coordinate v of its terms:
+    dict v -> the part whose terms are u t_lam v^{-1}."""
+    parts: dict = {}
+    for y, c in j_class(rs, x).items():
+        v = coordinates(y)[1]
+        part = parts.get(v)
+        if part is None:
+            part = parts[v] = {}
+        part[y] = c
+    return parts
+
+
 def hom_product_basis(rs: RootSystem, x: AffineElt, z: AffineElt) -> dict:
     """xi_x xi_z as an honest class: dict AffineElt -> Scalar.
 
-    When x is not superregular enough both sides are translated by a deep
-    antidominant kappa and the support is shifted back at the end.
+    When x is not superregular enough, x alone is translated by a deep
+    antidominant kappa, and the support is shifted back at the end.
+
+    xi_x xi_z = j_x . xi_z, and only the terms of j_x in the chamber v = z.w
+    are read (``j_chambers``).  Why the rest give 0, with A_y . xi_z =
+    xi_{yz} when yz is Grassmannian and l(yz) = l(y) + l(z), else 0: let
+    y = u t_lam v^{-1} be superregular, so |<lam, beta>| >= 2|W| + 2 for every
+    root beta, and z = z.w t_nu Grassmannian, so nu is antidominant.  Write
+    g = v^{-1} z.w, so yz = u t_lam g t_nu = (u g) t_{g^{-1} lam + nu}.
+
+    * If g = id, then yz = u t_{lam+nu}.  This is Grassmannian, and
+      l(yz) = l(y) + l(z) by l(u t_lam v^{-1}) = l(t_lam) - l(u) + l(v).
+    * If g != id, some simple root has g alpha_s < 0.  Then yz Grassmannian
+      forces <nu, alpha_s> <= -(2|W| + 2).  So l(t_{g^{-1} lam + nu}) <=
+      l(t_lam) + l(t_nu) - (4|W| + 4), and a finite part moves a length by at
+      most |R+| each way.  Hence l(yz) < l(y) + l(z).
+
+    The first half is certified: y -> yz is injective and a settled class has
+    no zero coefficient, so the product has as many terms as the part read.
     """
     if not (is_grassmannian(x) and is_grassmannian(z)):
         raise ValueError("homology product needs Grassmannian inputs")
@@ -277,8 +309,10 @@ def hom_product_basis(rs: RootSystem, x: AffineElt, z: AffineElt) -> dict:
     else:
         kappa = superregular_antidominant(rs, units=units)
         xs = x.translate(kappa)
-    j = j_class(rs, xs)
-    t = act_on_homology(rs, j, {z: scalar_one(rs)})
+    part = j_chambers(rs, xs).get(z.w, {})
+    t = act_on_homology(rs, part, {z: scalar_one(rs)})
+    if len(t) != len(part):
+        raise AssertionError("a term of the chamber v = z.w left the homology product")
     if not any(kappa):
         return t
     back = tuple(-k for k in kappa)

@@ -6,7 +6,7 @@ import pytest
 from conftest import combo_axpy
 from qaffine import cartan, peterson, quantum
 from qaffine.coeffring import Scalar, scalar_one, settle, weight_diff
-from qaffine.nilhecke import D, FAR, NEAR, bruhat_into, from_pairs, is_central, mod_J, to_pairs
+from qaffine.nilhecke import D, FAR, NEAR, act_on_homology, bruhat_into, from_pairs, is_central, mod_J, to_pairs
 from qaffine.peterson import (
     BudgetError,
     HomologyClass,
@@ -28,9 +28,11 @@ from qaffine.peterson import (
 from qaffine.quantum import product_basis, qh_basis, schubert_poly
 from qaffine.weyl import (
     AffineElt,
+    affine_from_word,
     affine_simple_reflection,
     enumerate_weyl,
     from_coordinates,
+    is_grassmannian,
     simple_reflection,
     superregular_antidominant,
     translation,
@@ -370,6 +372,42 @@ def test_hom_product_a1_r0_squared():
     assert nonequiv == {r1r0: 1}
 
 
+def _grassmannian_pool(rs):
+    """Grassmannian z: affine words up to length 5, and w t_deep for every w."""
+    pool = set()
+    for n in range(6):
+        for word in product(range(rs.rank + 1), repeat=n):
+            z = affine_from_word(rs, word)
+            if is_grassmannian(z):
+                pool.add(z)
+    deep = superregular_antidominant(rs, units=1)
+    pool.update(AffineElt(w, deep) for w in enumerate_weyl(rs))
+    return pool
+
+
+@pytest.mark.parametrize("lbl", ["A2", "B2", "G2", "A3"])
+def test_j_chamber_part_acts_as_the_whole_class(lbl):
+    # A_y . xi_z survives only for y = u t_lam v^{-1} with v = z.w (the
+    # hom_product_basis docstring): on every canonical j-class and every z of
+    # the pool, the part read gives the whole product; the part of the wrong
+    # chamber, v = z.w^{-1}, does not
+    rs = cartan.build(lbl)
+    pool = _grassmannian_pool(rs)
+    mutant_caught = 0
+    for w in enumerate_weyl(rs):
+        lam, _ = peterson._canonical_j(rs, w)
+        x = AffineElt(w, lam)
+        whole, parts = j_class(rs, x), peterson.j_chambers(rs, x)
+        assert sum(map(len, parts.values())) == len(whole)
+        for z in pool:
+            xi = {z: one(rs)}
+            want = act_on_homology(rs, whole, xi)
+            assert act_on_homology(rs, parts.get(z.w, {}), xi) == want
+            assert hom_product_basis(rs, x, z) == want
+            mutant_caught += act_on_homology(rs, parts.get(z.w.inverse(), {}), xi) != want
+    assert mutant_caught
+
+
 def test_hom_product_borel_chevalley_structure():
     # xi_{r_i t_lam} xi_{w t_mu} expands per the equivariant Chevalley pattern
     rs = cartan.build("A2")
@@ -695,3 +733,24 @@ def test_homology_class_validation_survives_python_O(run_python):
     ])
     out = run_python("-O", "-c", code).stdout
     assert out.splitlines() == ["1 s1 t[0, 0] is not Grassmannian", "1 denominator (1, 0) is not antidominant"]
+
+
+def test_chamber_read_certificate_survives_python_O(run_python):
+    # a part holding a term of another chamber leaves the product short, and
+    # the count check is an explicit raise, so python -O cannot strip it
+    code = "\n".join([
+        "import sys",
+        "from qaffine import cartan, peterson",
+        "from qaffine.weyl import AffineElt, enumerate_weyl, simple_reflection, superregular_antidominant",
+        "rs = cartan.build('A2')",
+        "x = AffineElt(simple_reflection(rs, 0), superregular_antidominant(rs, units=3))",
+        "z = AffineElt(simple_reflection(rs, 1), superregular_antidominant(rs, units=1))",
+        "whole = peterson.j_class(rs, x)",
+        "peterson.j_chambers = lambda rs, x: {v: whole for v in enumerate_weyl(rs)}",
+        "try:",
+        "    peterson.hom_product_basis(rs, x, z)",
+        "except AssertionError as e:",
+        "    print(sys.flags.optimize, e)",
+    ])
+    out = run_python("-O", "-c", code).stdout
+    assert out.strip() == "1 a term of the chamber v = z.w left the homology product"
