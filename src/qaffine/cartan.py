@@ -151,26 +151,32 @@ def solve_rational(rows, cols, mat, targets) -> list[list[Fraction]]:
 
 
 def _adjugate(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adj, det) with m . adj = det . 1, all integers.
+    """(adj, det) with m . adj = det . 1, all integers, certified.
 
-    det comes from fraction-free (Bareiss) elimination; no pivoting is needed,
-    as every leading principal minor of a finite-type Cartan matrix is positive.
+    Fraction-free (Bareiss, Math. Comp. 22 (1968)) Gauss-Jordan elimination on
+    [m | 1]: step k makes column k vanish off the diagonal and divides every
+    other row exactly by the previous pivot, so [m | 1] ends as [det . 1 | adj].
+    No pivoting is needed, as every leading principal minor of a finite-type
+    Cartan matrix is positive.
     """
     n = len(m)
-    a = [list(row) for row in m]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] <= 0:
+    for k in range(n):
+        p, pivot_row = a[k][k], a[k]
+        if p <= 0:
             raise AssertionError("leading principal minor of a Cartan matrix must be positive")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    # solving m^T x = e_i gives row i of m^{-1}
-    idx = range(n)
-    rows = solve_rational(idx, idx, {(i, j): m[j][i] for i in idx for j in idx}, [{i: 1} for i in idx])
-    return tuple(tuple(int(x * det) for x in row) for row in rows), det
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    det = prev
+    adj = tuple(tuple(row[n:]) for row in a)
+    cols = tuple(zip(*adj))
+    if any(sum(map(mul, row, col)) != det * (i == j) for i, row in enumerate(m) for j, col in enumerate(cols)):
+        raise AssertionError("adjugate does not invert the matrix")
+    return adj, det
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 Edges w -> w r_alpha for alpha in R^+ come in two kinds: "bruhat" when the
 length goes up by 1, "quantum" when it drops by <alpha^vee, 2 rho> - 1.
-Shortest paths define the tilted orders; walking the near covers of the
-superregular affine Bruhat order realizes each path as an affine element.
+Shortest paths define the tilted orders.  A path from v is walked as near
+covers of the superregular affine Bruhat order below t_{v lam}, in the
+coordinates x = u t_lam v^{-1}: each edge u -> u r_alpha moves u, and a quantum
+edge adds alpha^vee to lam, so each path is realized as an affine element.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add
 
 from .cartan import RootSystem, RootVec, cached
 from .weyl import (
@@ -20,7 +23,6 @@ from .weyl import (
     is_superregular,
     length,
     superregular_antidominant,
-    superregular_cocovers,
     translation,
 )
 
@@ -103,28 +105,33 @@ def all_shortest_paths(g: QBGraph, u: WeylElt, w: WeylElt) -> list[list[QBEdge]]
 
 
 def path_endpoint(path: list[QBEdge], lam, start: WeylElt | None = None) -> AffineElt:
-    """Walk a quantum-Bruhat path as near covers below t_{v lam}.
+    """Walk a quantum-Bruhat path as near covers below t_{v lam}, v = start.
 
     ``lam`` must be antidominant and superregular enough for len(path) steps
-    (BudgetError otherwise); the walk starts at t_{v lam} where v is the
-    path's start vertex.
+    (BudgetError otherwise).  The walk keeps x = u t_lam v^{-1} in the
+    coordinates (u, v, lam) of ``weyl.coordinates``, with v = start fixed: the
+    edge u -> u r_alpha is the near cocover (u r_alpha, v, lam + e alpha^vee),
+    e = 1 on a quantum edge.  So each step sets x.w = u r_alpha start^{-1} and,
+    on a quantum edge, adds start(alpha^vee) = the coroot of start alpha to
+    x.t; the drop of the generic length by one certifies the step.
     """
     if start is None:
         if not path:
             raise ValueError("empty path needs an explicit start vertex")
         start = path[0].source
-    x = translation(start.rs, start.act_coroot(tuple(lam)))
+    rs = start.rs
+    x = translation(rs, start.act_coroot(tuple(lam)))
     if not is_superregular(x, slack=4 * len(path)):
         raise BudgetError("lam is not superregular enough for this path length")
+    vinv, perm, t = start.inverse(), start.perm, x.t
     at = start
     for e in path:
         if e.source != at:
             raise ValueError("path edges do not compose")
-        lx = length(x)
-        # x = w t_{start lam'} with w start = at: its near covers are the out-edges at `at`
-        near = superregular_cocovers(x.rs, x.w, x.t)[2]
-        y = next(AffineElt(yw, yt) for yw, yt, _d, row in near if row[0] == e.alpha)
-        if length(y) != lx - 1:
+        if e.kind == "quantum":
+            t = tuple(map(add, t, rs.coroots[perm[rs.root_index[e.alpha]]]))
+        y = AffineElt(e.target * vinv, t)
+        if length(y) != length(x) - 1:
             raise AssertionError("path step is not a cover")
         x = y
         at = e.target

@@ -8,7 +8,10 @@ positive roots sent to negative ones, and the actions on roots, coroots and
 weights are read off the images of the simple roots.  Elements are canonical:
 a root system keeps one element per permutation, so equality is identity.
 An affine element ``w t_lam`` pairs a finite element with a coroot-lattice
-translation.
+translation.  A superregular one also has the coordinates (u, v, lam), with
+x = u t_lam v^{-1} and lam antidominant (``coordinates``); its cocovers are
+the edges of the quantum Bruhat graph (``cover_table``) out of u and into v,
+in closed form (``cocovers_superregular``).
 
 Every question about a root of index k at ``x = w t_lam`` reads two tables:
 whether ``w alpha`` is negative is ``w.perm[k] >= npos``, and the pairing
@@ -31,7 +34,7 @@ class BudgetError(ValueError):
 class WeylElt:
     """Element of the finite Weyl group W, as a permutation of the root indices."""
 
-    __slots__ = ("rs", "perm", "_inv", "_len", "_hash")
+    __slots__ = ("rs", "perm", "_inv", "_len", "_neg", "_hash")
 
     def __new__(cls, rs: RootSystem, perm: tuple[int, ...]):
         # the one element of perm in rs, so equality is identity; a miss goes
@@ -39,7 +42,8 @@ class WeylElt:
         self = rs._elts.get(perm)
         if self is None:
             self = object.__new__(cls)
-            self.rs, self.perm, self._inv, self._len, self._hash = rs, perm, None, None, hash(perm)
+            self.rs, self.perm, self._hash = rs, perm, hash(perm)
+            self._inv = self._len = self._neg = None
             self = rs._elts.setdefault(perm, self)
         return self
 
@@ -103,9 +107,12 @@ class WeylElt:
         return n
 
     def neg_set(self) -> tuple[bool, ...]:
-        """For each positive root alpha (in rs order), whether w.alpha < 0."""
-        npos = len(self.perm) // 2
-        return tuple(k >= npos for k in self.perm[:npos])
+        """For each positive root alpha (in rs order), whether w.alpha < 0; memoized."""
+        neg = self._neg
+        if neg is None:
+            npos = len(self.perm) // 2
+            neg = self._neg = tuple(k >= npos for k in self.perm[:npos])
+        return neg
 
     def descends(self, i: int) -> bool:
         """Whether w alpha_i < 0, i.e. l(w r_i) < l(w)."""
@@ -484,83 +491,42 @@ def cover_table(rs: RootSystem, w: WeylElt):
     return tuple(ups), tuple(quantums), tuple(downs), tuple(qups)
 
 
-@cached("coverrows")
-def cover_rows(rs: RootSystem, w: WeylElt, v: WeylElt):
-    """The superregular cocovers of every w t_{v lam}, lam antidominant, as
-    rows shared by all depths: (w v, near rows, far rows).
-
-    A row is (alpha, alpha^vee, w r_{v alpha}, d = v alpha^vee, case, j), j the
-    index of v alpha.  The near rows (cases 1, 2) are the out-edges of the
-    quantum Bruhat graph at w v, the far rows (cases 3, 4) its in-edges at v.
-    At t = v lam a row's cocover is (w r_{v alpha}, t + (case_level(case, p) - p) d),
-    p = <lam, alpha> = root_pairings(rs, t)[j].  The finite parts are the
-    canonical elements, so the rows of all |W|^2 chamber pairs name |W| objects.
-    """
-    wv = w * v
-    ups, quantums, _, _ = cover_table(rs, wv)
-    _, _, downs, qups = cover_table(rs, v)
-    near, far = [], []
-    for case, (rows, out) in enumerate(((ups, near), (quantums, near), (downs, far), (qups, far)), 1):
-        for a, avee, _ in rows:
-            j = v.perm[rs.root_index[a]]
-            out.append((a, avee, w * reflection_of(rs, rs.roots[j]), v.act_coroot(avee), case, j))
-    return wv, tuple(near), tuple(far)
-
-
-# Case k of a superregular cocover puts its reflection root at level
-# n = e p + c, p = <lam, alpha>, with (e, c) = _CASE_LEVEL[k - 1]; read only
-# through case_level.
-_CASE_LEVEL = ((1, 0), (1, 1), (0, 0), (0, -1))
-
-
-def case_level(case: int, p: int) -> int:
-    e, c = _CASE_LEVEL[case - 1]
-    return e * p + c
-
-
-@cached("sregcovers")
-def superregular_cocovers(rs: RootSystem, w: WeylElt, t: CorootVec):
-    """The cocovers of a superregular x = w t_t, t = v lam with lam
-    antidominant: (v, w v, near entries, far entries).
-
-    An entry is (y.w, y.t, d, row) for a row of ``cover_rows``; the positive
-    root of the reflection is -(v alpha) - n delta, n = case_level(case, p).
-    Raises BudgetError, and caches nothing, unless x is superregular: the cases
-    do not hold below the margin.
-    """
-    pr = root_pairings(rs, t)
-    if min(map(abs, pr)) < 2 * rs.weyl_order + 2:
-        raise BudgetError(f"{AffineElt(w, t)!r} is not superregular")
-    v = chamber_decompose(rs, t)[0]
-    wv, near, far = cover_rows(rs, w, v)
-
-    def entry(row):
-        p = pr[row[5]]
-        m = case_level(row[4], p) - p
-        return row[2], tuple(c + m * e for c, e in zip(t, row[3])) if m else t, row[3], row
-
-    return v, wv, tuple(map(entry, near)), tuple(map(entry, far))
-
-
 def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
-    """Case-tagged cocovers of a superregular x = w t_{v lam}, certified
-    against the cover enumeration; BudgetError on any other x."""
+    """The cocovers of a superregular x = u t_lam v^{-1}, read off the quantum
+    Bruhat graph at its coordinates (u, v, lam) and certified against the cover
+    enumeration; BudgetError on any other x.
+
+    There are four edge kinds, each with e in {0, 1}: near, (u r_alpha, v,
+    lam + e alpha^vee) over the up (case 1) and quantum (case 2) out-edges of
+    u, and far, (u, v r_alpha, lam + e alpha^vee) over the down (case 3) and
+    q-up (case 4) in-edges of v.  The positive affine root of the reflection
+    is -(v alpha) - n delta, n = p + e near and n = -e far, p = <lam, alpha>.
+    """
+    if not is_superregular(x):
+        raise BudgetError(f"{x!r} is not superregular")
     rs = x.rs
-    _v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
-    pr = root_pairings(rs, x.t)
+    u, v, lam = coordinates(x)
+    pr = root_pairings(rs, lam)
     npos = len(rs.positive_roots)
+    ups, quantums, _, _ = cover_table(rs, u)
+    _, _, downs, qups = cover_table(rs, v)
     out = []
-    for yw, yt, _d, (a, _avee, _wr, _dd, case, j) in near + far:
-        # the positive affine root of the reflection is -(v alpha) - n delta,
-        # so v alpha + n delta must be negative; -(v alpha) has index j +- npos
-        n = case_level(case, pr[j])
-        if n > 0 or (n == 0 and j < npos):
-            raise AssertionError("superregular cover reflection root unexpectedly positive")
-        beta = AffineRoot(rs.roots[(j + npos) % (2 * npos)], -n)
-        out.append(CoverRecord(x, AffineElt(yw, yt), beta, "near" if case < 3 else "far", case, a))
+    kinds = ((True, 0, ups), (True, 1, quantums), (False, 0, downs), (False, 1, qups))
+    for case, (near, e, rows) in enumerate(kinds, 1):
+        for a, avee, r in rows:
+            k = rs.root_index[a]
+            n = pr[k] + e if near else -e
+            # -(v alpha) + (-n) delta is positive iff n < 0, or n = 0 and v alpha < 0
+            j = v.perm[k]
+            if n > 0 or (n == 0 and j < npos):
+                raise AssertionError("superregular cover reflection root unexpectedly positive")
+            mu = tuple(map(add, lam, avee)) if e else lam
+            y = from_coordinates(r, v, mu) if near else from_coordinates(u, r, mu)
+            out.append(CoverRecord(x, y, AffineRoot(rs.roots[(j + npos) % (2 * npos)], -n),
+                                   "near" if near else "far", case, a))
     got = {(c.target, c.reflection_root) for c in out}
     want = {(c.target, c.reflection_root) for c in cocovers(x)}
-    if got != want:
+    if len(got) != len(out) or got != want:
         raise AssertionError("superregular classification disagrees with cover enumeration")
     return out
 

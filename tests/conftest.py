@@ -1,5 +1,7 @@
+import inspect
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,20 @@ def combo_axpy(dst: dict, key, s) -> None:
             dst[key] = n
         else:
             del dst[key]
+
+
+def mutant(func, old: str, new: str):
+    """``func`` with a planted fault: the one occurrence of ``old`` in its
+    source replaced by ``new``, compiled against a copy of its module's
+    namespace, so the package itself is left as it is."""
+    lines, start = inspect.getsourcelines(func)
+    src = textwrap.dedent("".join(lines))
+    if src.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {src.count(old)} times in {func.__name__}")
+    ns = dict(func.__globals__)
+    # blank lines in front keep the line numbers of tracebacks
+    exec(compile("\n" * (start - 1) + src.replace(old, new), inspect.getsourcefile(func), "exec"), ns)
+    return ns[func.__name__]
 
 
 def _run_python(*args, check=True):

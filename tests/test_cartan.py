@@ -1,7 +1,10 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from conftest import mutant
 from qaffine import cartan
 from qaffine.weyl import (
     enumerate_weyl,
@@ -179,6 +182,50 @@ def test_marks_reconstruct_delta():
         for alpha in rs.positive_roots:
             av = rs.coroot_of(alpha)
             assert rs.pair(av, rs.two_rho) == rs.pair_weight(av, (2,) * rs.rank)
+
+
+def _rational_adjugate(m):
+    """(adj, det) of m over Q: det the product of the pivots of Gaussian
+    elimination, adj = det . m^{-1} from solve_rational, row i of m^{-1}
+    solving m^T x = e_i."""
+    idx = range(len(m))
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in idx:
+        det *= a[k][k]
+        for i in range(k + 1, len(m)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    rows = cartan.solve_rational(idx, idx, {(i, j): m[j][i] for i in idx for j in idx}, [{i: 1} for i in idx])
+    return tuple(tuple(int(x * det) for x in row) for row in rows), int(det)
+
+
+def test_adjugate_matches_the_rational_inverse_on_every_principal_submatrix():
+    # the fraction-free elimination against elimination over Q, on every
+    # principal submatrix of each family up to rank 8: the components that
+    # parabolic.component_cartan_adj inverts
+    families = [("A", range(1, 8)), ("B", range(2, 9)), ("C", range(3, 9)), ("D", range(4, 9)),
+                ("E", range(6, 9)), ("F", [4]), ("G", [2])]
+    count = 0
+    for family, ranks in families:
+        for rank in ranks:
+            c = cartan._cartan_matrix(family, rank)
+            for k in range(1, rank + 1):
+                for nodes in itertools.combinations(range(rank), k):
+                    m = [[c[i][j] for j in nodes] for i in nodes]
+                    assert cartan._adjugate(m) == _rational_adjugate(m), (family, rank, nodes)
+                    count += 1
+    assert count == 2200
+
+
+def test_adjugate_certifies_its_result():
+    # planted fault: an elimination that skips its exact division ends with
+    # the right block and the pivot at different multiples of adj and det,
+    # which the certificate rejects
+    wrong = mutant(cartan._adjugate, "// prev", "// 1")
+    for family, rank in [("A", 2), ("A", 3), ("B", 3), ("G", 2)]:
+        with pytest.raises(AssertionError, match="adjugate does not invert the matrix"):
+            wrong(cartan._cartan_matrix(family, rank))
 
 
 def test_table_certificates_survive_python_O(run_python):

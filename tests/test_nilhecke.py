@@ -18,7 +18,9 @@ from qaffine.weyl import (
     affine_simple_reflection,
     chamber_decompose,
     cocovers,
+    cocovers_superregular,
     coordinates,
+    cover_table,
     enumerate_weyl,
     from_coordinates,
     is_grassmannian,
@@ -27,7 +29,6 @@ from qaffine.weyl import (
     reduced_word,
     simple_reflection,
     superregular_antidominant,
-    superregular_cocovers,
     superregular_margin,
     translation,
 )
@@ -42,11 +43,20 @@ def one(rs):
 # sum <beta^vee, mu> A_{x r_beta} over the cocovers y = x r_beta of x.
 
 def cover_entries(rs, x):
-    """(y.w, y.t, d) over the cocovers y = x r_beta of x, d = -beta^vee: the
-    cached reader where x is superregular, else the cover enumeration."""
+    """(y.w, y.t, d) over the cocovers y = x r_beta of x, d = -beta^vee: where
+    x = u t_lam v^{-1} is superregular, the near (u r_alpha, v, lam + e
+    alpha^vee) and far (u, v r_alpha, lam + e alpha^vee) cocovers read off
+    cover_table, with d = v alpha^vee; else the cover enumeration."""
     if is_superregular(x):
-        _v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
-        return [(yw, yt, d) for yw, yt, d, _row in near + far]
+        u, v, lam = coordinates(x)
+        ups, quantums, downs, qups = cover_table(rs, u)[:2] + cover_table(rs, v)[2:]
+        out = []
+        for near, e, rows in ((True, 0, ups), (True, 1, quantums), (False, 0, downs), (False, 1, qups)):
+            for _a, avee, r in rows:
+                mu = tuple(m + e * c for m, c in zip(lam, avee))
+                y = from_coordinates(r, v, mu) if near else from_coordinates(u, r, mu)
+                out.append((y.w, y.t, v.act_coroot(avee)))
+        return out
     return [(c.target.w, c.target.t, tuple(-e for e in rs.coroot_of(c.reflection_root.finite))) for c in cocovers(x)]
 
 
@@ -312,9 +322,9 @@ def test_commutator_with_weight_integral():
 
 def test_superregular_cocover_pairs_match_enumeration():
     # at margin >= 0, the threshold that cocovers_superregular certifies, the
-    # reader gives the enumeration's cocovers with d = v alpha^vee, the
-    # negated coroot of the positive reflection root; below it the reader
-    # raises and caches nothing
+    # records read off cover_table give the enumeration's cocovers with
+    # d = v alpha^vee, the negated coroot of the positive reflection root;
+    # below it the reader raises and caches nothing
     rng = random.Random(31)
     for lbl in ["A2", "B2", "G2"]:
         rs = cartan.build(lbl)
@@ -332,12 +342,13 @@ def test_superregular_cocover_pairs_match_enumeration():
             m = superregular_margin(x)
             seen["positive" if m > 0 else "zero" if m == 0 else "negative"] += 1
             if m < 0:
+                before = set(rs._cache)
                 with pytest.raises(ValueError, match="not superregular"):
-                    superregular_cocovers(rs, x.w, x.t)
-                assert ("sregcovers", x.w, x.t) not in rs._cache, (lbl, x)
+                    cocovers_superregular(x)
+                assert set(rs._cache) == before, (lbl, x)
                 continue
-            _v, _wv, near, far = superregular_cocovers(rs, x.w, x.t)
-            got = [(AffineElt(yw, yt), d) for yw, yt, d, _row in near + far]
+            v = coordinates(x)[1]
+            got = [(c.target, v.act_coroot(rs.coroot_of(c.alpha))) for c in cocovers_superregular(x)]
             want = {(c.target, tuple(-e for e in rs.coroot_of(c.reflection_root.finite))) for c in cocovers(x)}
             assert len(got) == len(want) and set(got) == want, (lbl, x)
         assert all(seen.values()), (lbl, seen)
@@ -357,7 +368,7 @@ def test_bruhat_operator_and_centrality_share_one_reader_entry():
     is_central(rs, f)
     added = set(rs._cache) - before
     u, v, _lam = coordinates(x)
-    assert not [k for k in added if k[0] in ("coverrows", "sregcovers")], added
+    assert {k[0] for k in added} <= {"chamber", "covers", "refl", "tpair", "weight-diff"}, added
     assert [k for k in added if k[0] == "chamber"] == [("chamber", x.t)]
     assert {k for k in added if k[0] == "covers"} <= {("covers", u), ("covers", v)}
     assert not [k for k in added if k[1:] == (x.w, x.t)], added

@@ -1,7 +1,13 @@
+import hashlib
+
+import pytest
+
+from conftest import mutant
 from qaffine import cartan
 from qaffine.qbruhat import (
     all_shortest_paths,
     build_qbg,
+    endpoint_for_pair,
     path_endpoint,
     tilted_distance,
     tilted_leq,
@@ -130,6 +136,61 @@ def test_endpoint_formula_and_independence():
                     assert x.w == w * u.inverse()
                 if paths:
                     assert len(endpoints) == 1
+
+
+# The first 16 hex digits of endpoint_digest per type; B3 and C3 (about 5 s
+# each) are checked by a CI step.
+ENDPOINT_DIGESTS = {
+    "A2": "072144f8c5eab5fc",
+    "B2": "0ace61b55b87d4f8",
+    "G2": "078c2e896a81f15b",
+    "A3": "351c7b440becf5b5",
+    "B3": "e8419f9951905260",
+    "C3": "0fb6ecb0520f54d8",
+}
+
+
+def endpoint_digest(label: str) -> str:
+    """sha256 over every ordered pair (u, w), u then w in vertex order, of the
+    common endpoint of the geodesics u -> w, at the shallowest lam that every
+    pair's walk certifies."""
+    rs = cartan.build(label)
+    g = build_qbg(rs)
+    diam = max(max(g.distances_from(u).values()) for u in g.vertices)
+    lam = superregular_antidominant(rs, units=diam + 1)
+    h = hashlib.sha256()
+    for u in g.vertices:
+        for w in g.vertices:
+            h.update(f"{u!r}|{w!r}|{endpoint_for_pair(g, u, w, lam)!r};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_endpoint_digests_are_pinned(label):
+    assert endpoint_digest(label) == ENDPOINT_DIGESTS[label]
+
+
+def test_a_walk_without_the_quantum_shift_is_not_a_cover_walk():
+    # planted fault: a quantum edge that leaves the translation alone.  Every
+    # geodesic with a quantum edge must then fail its cover certificate at
+    # that edge, and every other geodesic keeps its endpoint
+    wrong = mutant(path_endpoint, 'if e.kind == "quantum":', "if False:")
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        rs = cartan.build(lbl)
+        g = build_qbg(rs)
+        diam = max(max(g.distances_from(u).values()) for u in g.vertices)
+        lam = superregular_antidominant(rs, units=diam + 1)
+        caught = 0
+        for u in g.vertices:
+            for w in g.vertices:
+                for p in all_shortest_paths(g, u, w):
+                    if any(e.kind == "quantum" for e in p):
+                        with pytest.raises(AssertionError, match="path step is not a cover"):
+                            wrong(p, lam, start=u)
+                        caught += 1
+                    else:
+                        assert wrong(p, lam, start=u) == path_endpoint(p, lam, start=u)
+        assert caught, lbl
 
 
 def test_near_covers_match_qbg_edges():

@@ -70,13 +70,16 @@ def test_cache_tags_are_distinct():
 def test_only_the_kernel_accumulates_superregular_cocovers():
     # nilhecke.bruhat_into is the one loop that turns superregular cocovers
     # into an accumulated class, keyed by the coordinates (u, v, lam): it reads
-    # the quantum Bruhat graph (weyl.cover_table) at u and at v, and none of
-    # the (w, t) readers, the chamber pair rows, the case levels, the entries
-    # or the chamber; outside weyl only the quantum-Bruhat path walk reads
-    # those, and weyl.case_level alone reads the case table
-    readers = ("cover_rows", "case_level", "superregular_cocovers", "chamber_decompose", "cover_table")
+    # the quantum Bruhat graph (weyl.cover_table) at u and at v, and neither
+    # the chamber nor the certified records.  weyl.cocovers_superregular reads
+    # the same table at the coordinates of its element, and only the tests and
+    # the benchmark's tracer call it.  No case table is left, and the
+    # quantum-Bruhat path walk reads no cover table: it steps the coordinates
+    # itself
+    gone = {"cover_rows", "case_level", "_CASE_LEVEL", "superregular_cocovers", "coverrows", "sregcovers"}
+    readers = ("cover_table", "chamber_decompose", "coordinates", "from_coordinates", "cocovers_superregular")
     sites = {name: set() for name in readers}
-    case_table = set()
+    names = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             for node in ast.walk(top):
@@ -84,12 +87,20 @@ def test_only_the_kernel_accumulates_superregular_cocovers():
                     name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                     if name in sites:
                         sites[name].add((path.name, getattr(top, "name", None)))
-                if isinstance(node, ast.Name) and node.id == "_CASE_LEVEL" and isinstance(node.ctx, ast.Load):
-                    case_table.add((path.name, getattr(top, "name", None)))
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)  # a cache tag
+    assert not names & gone, names & gone
     kernel = ("nilhecke.py", "bruhat_into")
-    assert kernel in sites["cover_table"]
-    assert not [name for name in readers[:4] if kernel in sites[name]]
-    assert case_table == {("weyl.py", "case_level")}
-    stray = [(name, site) for name in readers[:3] for site in sites[name]
-             if site[0] != "weyl.py" and site != ("qbruhat.py", "path_endpoint")]
-    assert not stray, stray
+    certificate = ("weyl.py", "cocovers_superregular")
+    walk = ("qbruhat.py", "path_endpoint")
+    assert kernel in sites["cover_table"] and certificate in sites["cover_table"]
+    assert certificate in sites["coordinates"]
+    assert not [name for name in ("chamber_decompose", "coordinates", "cocovers_superregular") if kernel in sites[name]]
+    assert not [name for name in readers if walk in sites[name]]
+    assert not sites["cocovers_superregular"], sites["cocovers_superregular"]

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutant
 from qaffine import cartan, peterson
 from qaffine.cartan import AffineRoot
 from qaffine.coeffring import scalar_one
+from qaffine.nilhecke import is_central
 from qaffine.qbruhat import build_qbg, endpoint_for_pair, path_endpoint
 from qaffine.weyl import (
     AffineElt,
@@ -23,7 +25,8 @@ from qaffine.weyl import (
     chamber_decompose,
     cocovers,
     cocovers_superregular,
-    cover_rows,
+    coordinates,
+    cover_table,
     enumerate_weyl,
     from_word,
     inversions,
@@ -38,7 +41,6 @@ from qaffine.weyl import (
     root_pairings,
     simple_reflection,
     superregular_antidominant,
-    superregular_cocovers,
     superregular_margin,
     translation,
     weyl_identity,
@@ -404,8 +406,8 @@ def test_an_exhausted_margin_raises_budget_error():
     e = weyl_identity(rs)
     assert peterson.BudgetError is BudgetError and issubclass(BudgetError, ValueError)
     with pytest.raises(BudgetError, match="not superregular"):
-        superregular_cocovers(rs, e, (-1, -1))
-    with pytest.raises(BudgetError):
+        is_central(rs, {translation(rs, (-1, -1)): scalar_one(rs)})
+    with pytest.raises(BudgetError, match="not superregular"):
         cocovers_superregular(translation(rs, (-1, -1)))
     g = build_qbg(rs)
     with pytest.raises(BudgetError, match="superregular enough"):
@@ -634,9 +636,10 @@ def test_root_pairings_match_per_root_formulas():
 
 
 def test_cover_rows_are_shared_across_depths():
-    # the superregular cocovers of w t_{v lam} are read from one cached row
-    # table per (w, v), by one reader cached per (w, t); lam only moves the
-    # translations
+    # the superregular cocovers of x = u t_lam v^{-1} are read off the rows of
+    # cover_table at u and at v, cached once per element and shared by every
+    # depth lam, which only moves the translations; nothing is cached per
+    # chamber pair (w, v) or per (w, t)
     rng = random.Random(59)
     cases = set()
     for lbl in ["A3", "G2"]:
@@ -646,26 +649,55 @@ def test_cover_rows_are_shared_across_depths():
         elements = {}  # perm -> the row element, across chamber pairs
         for _ in range(8):
             w, v = rng.choice(W), rng.choice(W)
+            u = w * v
             finite_parts = []
             for lam in depths:
                 x = AffineElt(w, v.act_coroot(lam))
                 assert chamber_decompose(rs, x.t) == (v, lam)
-                vv, wv, near, far = superregular_cocovers(rs, x.w, x.t)
-                assert (vv, wv) == (v, w * v)
-                assert superregular_cocovers(rs, x.w, x.t)[2] is near
-                got = [AffineElt(yw, yt) for yw, yt, _d, _row in near + far]
+                assert coordinates(x) == (u, v, lam)
+                cc = cocovers_superregular(x)
+                assert cover_table(rs, u) is cover_table(rs, u)
+                got = [c.target for c in cc]
                 assert len(set(got)) == len(got)
                 assert set(got) == {c.target for c in cocovers(x)}
-                cases |= {row[4] for *_, row in near + far}
-                finite_parts.append([yw for yw, *_ in near + far])
-                assert [k for k in rs._cache if k[0] == "coverrows" and k[1:] == (w, v)] == [("coverrows", w, v)]
-            # every depth reads the finite parts of the same row objects
-            _wv, near_rows, far_rows = cover_rows(rs, w, v)
-            shared = [id(row[2]) for row in near_rows + far_rows]
+                cases |= {c.case for c in cc}
+                finite_parts.append([c.target.w for c in cc])
+                assert {("covers", u), ("covers", v)} <= {k for k in rs._cache if k[0] == "covers"}
+                assert not [k for k in rs._cache if k[1:] in ((w, v), (x.w, x.t))]
+            # every depth reads the finite parts of the same row objects: near
+            # targets are u r_alpha v^{-1}, far ones u (v r_alpha)^{-1}
+            ups, quantums, downs, qups = cover_table(rs, u)[:2] + cover_table(rs, v)[2:]
+            shared = [id(r * v.inverse()) for *_, r in ups + quantums] + [id(u * r.inverse()) for *_, r in downs + qups]
             assert all(list(map(id, parts)) == shared for parts in finite_parts)
-            for row in near_rows + far_rows:
-                assert elements.setdefault(row[2].perm, row[2]) is row[2]
+            for *_, r in ups + quantums + downs + qups:
+                assert elements.setdefault(r.perm, r) is r
     assert cases == {1, 2, 3, 4}
+
+
+def test_a_wrong_quantum_level_fails_the_cover_certificate():
+    # planted fault: a near quantum edge at level n = p instead of p + 1.
+    # It moves the reflection root of every quantum out-edge of u, so the
+    # certificate fires exactly when u has one, that is when u != id
+    wrong = mutant(cocovers_superregular, "n = pr[k] + e if near", "n = pr[k] if near")
+    rng = random.Random(61)
+    for lbl in ["A2", "B2", "G2", "A3"]:
+        rs = cartan.build(lbl)
+        W = enumerate_weyl(rs)
+        lam = superregular_antidominant(rs, units=1)
+        caught = 0
+        for _ in range(30):
+            x = AffineElt(rng.choice(W), rng.choice(W).act_coroot(lam))
+            cocovers_superregular(x)
+            u = coordinates(x)[0]
+            if cover_table(rs, u)[1]:
+                with pytest.raises(AssertionError, match="disagrees with cover enumeration"):
+                    wrong(x)
+                caught += 1
+            else:
+                assert u.is_identity()
+                assert [(c.target, c.reflection_root) for c in wrong(x)] == [
+                    (c.target, c.reflection_root) for c in cocovers_superregular(x)]
+        assert caught, lbl
 
 
 def test_affine_action_eq2():
