@@ -382,11 +382,6 @@ def _check_tables(rs: RootSystem) -> None:
     # delta = alpha_0 + theta with mark a_0 = 1
     if rs.marks[0] != 1 or tuple(rs.marks[1:]) != rs.theta:
         raise AssertionError("marks must be (1, theta)")
-    # the adjugate inverts the Cartan matrix up to its determinant
-    for i in range(r):
-        for j in range(r):
-            if sum(rs.cartan[i][k] * rs.cartan_adj[k][j] for k in range(r)) != rs.cartan_det * int(i == j):
-                raise AssertionError("adjugate does not invert the Cartan matrix")
     # every root has a coroot and <alpha^vee, alpha> = 2
     for a, av in rs.coroot_table.items():
         if rs.pair(av, a) != 2:

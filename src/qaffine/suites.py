@@ -351,11 +351,11 @@ def suite_positivity() -> dict:
     return _report("positivity", failures, checks)
 
 
-def suite_tilted() -> dict:
+def suite_tilted(types=("A2", "B2")) -> dict:
     """Tilted orders embed dually in the affine order; endpoints well-defined."""
     failures = []
     checks = 0
-    for lbl in ["A2", "B2"]:
+    for lbl in types:
         rs = cartan.build(lbl)
         for u in enumerate_weyl(rs):
             rep = verify_tilted_embedding(rs, u)

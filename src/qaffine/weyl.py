@@ -167,10 +167,9 @@ def reflection_of(rs: RootSystem, alpha: RootVec) -> WeylElt:
     if not rs.is_root(alpha):
         raise ValueError(f"{alpha} is not a root")
     # r_alpha(beta) = beta - <alpha^vee, beta> alpha
-    avee = rs.coroot_of(alpha)
+    pr = root_pairings(rs, rs.coroot_of(alpha))
     perm = []
-    for beta in rs.roots:
-        p = rs.pair(avee, beta)
+    for beta, p in zip(rs.roots, pr):
         perm.append(rs.root_index[tuple(b - p * a for a, b in zip(alpha, beta))])
     return WeylElt(rs, tuple(perm))
 
@@ -269,7 +268,9 @@ class AffineElt:
 
     def act(self, beta: AffineRoot) -> AffineRoot:
         # (w t_lam)(mu + n delta) = w mu + (n - <lam, mu>) delta
-        return AffineRoot(self.w.act_root(beta.finite), beta.level - self.rs.pair(self.t, beta.finite))
+        rs = self.rs
+        return AffineRoot(self.w.act_root(beta.finite),
+                          beta.level - root_pairings(rs, self.t)[rs.root_index[beta.finite]])
 
     def translate(self, lam: CorootVec) -> "AffineElt":
         """Right multiplication by t_lam."""
@@ -314,6 +315,12 @@ def root_pairings(rs: RootSystem, t: CorootVec) -> tuple[int, ...]:
     rows = rs.pairing_rows
     pr = tuple(sum(map(mul, t, rows[a])) for a in rs.positive_roots)
     return pr + tuple(-p for p in pr)
+
+
+@cached("corootrows")
+def _coroot_rows(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """root_pairings of every coroot, by index: row c holds <alpha_c^vee, alpha_k>."""
+    return tuple(root_pairings(rs, c) for c in rs.coroots)
 
 
 def length(x: AffineElt) -> int:
@@ -404,7 +411,12 @@ def chamber_decompose(rs: RootSystem, tau: CorootVec) -> tuple[WeylElt, CorootVe
     Walks v up by simple reflections while some <v^{-1} tau, alpha_i> =
     <tau, v alpha_i> is positive, reading the pairings of tau alone.
     """
-    pr = root_pairings(rs, tau)
+    v = _chamber(rs, root_pairings(rs, tau))
+    return v, v.inverse().act_coroot(tau)
+
+
+def _chamber(rs: RootSystem, pr: tuple[int, ...]) -> WeylElt:
+    """The minimal v with v^{-1} tau antidominant, from pr = root_pairings(rs, tau)."""
     v = weyl_identity(rs)
     while True:
         for i, s in enumerate(rs.simple_index):
@@ -412,7 +424,7 @@ def chamber_decompose(rs: RootSystem, tau: CorootVec) -> tuple[WeylElt, CorootVe
                 v = v * simple_reflection(rs, i)
                 break
         else:
-            return v, v.inverse().act_coroot(tau)
+            return v
 
 
 def coordinates(x: AffineElt) -> tuple[WeylElt, WeylElt, CorootVec]:
@@ -534,46 +546,55 @@ def cocovers_superregular(x: AffineElt) -> list[CoverRecord]:
 @cached("leftnodes")
 def _left_descent_data(rs: RootSystem):
     """Per node i of I_af, with alpha_i = a + n delta and r_i = s t_tau:
-    (index of a, n, perm of s, coroot index of tau or None); then the
-    pairing rows of the roots by index."""
+    (index of a, n, perm of s, coroot index of tau or None)."""
     neg_theta = rs.root_index[tuple(-c for c in rs.theta)]
     # r_0 = r_theta t_{-theta^vee}, and the coroot of -theta is -theta^vee
     nodes = [(neg_theta, 1, reflection_of(rs, rs.theta).perm, neg_theta)]
     nodes += [(rs.simple_index[i], 0, rs.simple_perms[i], None) for i in range(rs.rank)]
-    return tuple(nodes), tuple(rs.pairing_rows[a] for a in rs.roots)
+    return tuple(nodes)
+
+
+# common steps a walk of bruhat_leq takes before it tries to cut a common suffix
+_CUT_AFTER = 16
 
 
 def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
     """x <= y in the affine Bruhat order (left-descent recursion).
 
-    By the lifting property, if r_i is a left descent of y then x <= y iff
-    r_i x <= r_i y when r_i is also a left descent of x, and x <= r_i y
-    otherwise.  Both elements are walked as raw pairs (w^{-1} as a root
-    permutation, lam) with lengths counted down from the entry.  For
-    alpha_i = a + n delta, node i is a left descent of w t_lam iff
-    (w t_lam)^{-1} alpha_i = w^{-1} a + (n + <lam, w^{-1} a>) delta < 0: the
-    level is below 0, or is 0 with w^{-1} a negative.  The step is
-    r_i (w t_lam) = (s w) t_{lam + w^{-1} tau} for r_i = s t_tau, one perm
-    composition, plus a coroot lookup at node 0 (tau_0 = -theta^vee).
+    By the lifting property (Deodhar's property Z; Bjorner-Brenti 2.2), if
+    r_i is a left descent of y then x <= y iff r_i x <= r_i y when r_i is
+    also a left descent of x, and x <= r_i y otherwise.  Each element is
+    walked as (w^{-1} perm, lam, pr = root_pairings(rs, lam)).  Node i,
+    alpha_i = a + n delta, is a left descent of w t_lam iff
+    (w t_lam)^{-1} alpha_i = w^{-1} a + (n + pr[j]) delta < 0, j the index of
+    w^{-1} a.  The step r_i (w t_lam) = (s w) t_{lam + w^{-1} tau}, r_i =
+    s t_tau, adds at node 0 a coroot to lam and its row of ``_coroot_rows``
+    to pr.
+
+    After _CUT_AFTER common steps, a pair in one chamber sheds a common right
+    suffix z (``_cut_common_suffix``).  If l(x z^{-1}) = l(x) - l(z) and the
+    same for y, each letter of z, peeled from the right, is a right descent
+    of both, so x <= y iff x z^{-1} <= y z^{-1}.  ``length`` checks both
+    identities before the cut is taken, so the cut rests on the lifting
+    property alone, not on the tilted-order theorem that
+    ``qbruhat.verify_tilted_embedding`` tests through this order.
     """
     rs = x.rs
-    nodes, rows = _left_descent_data(rs)
-    coroots = rs.coroots
+    nodes = _left_descent_data(rs)
+    crows, coroots = _coroot_rows(rs), rs.coroots
     npos = len(rs.positive_roots)
-    lx, ly = length(x), length(y)
-    xinv, xt = x.w.inverse().perm, x.t
-    yinv, yt = y.w.inverse().perm, y.t
 
-    def descends(winv, lam, k, n):
-        j = winv[k]
-        p = n + sum(map(mul, lam, rows[j]))
-        return p < 0 or (p == 0 and j >= npos)
-
-    def step(winv, lam, s, tau):
+    def step(winv, lam, pr, s, tau):
         if tau is not None:
-            lam = tuple(map(add, lam, coroots[winv[tau]]))
-        return tuple(map(winv.__getitem__, s)), lam
+            c = winv[tau]
+            lam = tuple(map(add, lam, coroots[c]))
+            pr = tuple(map(add, pr, crows[c]))
+        return tuple(map(winv.__getitem__, s)), lam, pr
 
+    lx, ly = length(x), length(y)
+    xinv, xt, xp = x.w.inverse().perm, x.t, root_pairings(rs, x.t)
+    yinv, yt, yp = y.w.inverse().perm, y.t, root_pairings(rs, y.t)
+    common = 0
     while True:
         if lx > ly:
             return False
@@ -581,37 +602,80 @@ def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
             return True
         if ly == 0:  # ly falls by one a step, so the walk ends
             return False
+        if common == _CUT_AFTER:
+            cut = _cut_common_suffix(rs, (xinv, xt, xp, lx), (yinv, yt, yp, ly))
+            if cut is not None:
+                (xinv, xt, xp, lx), (yinv, yt, yp, ly) = cut
         for k, n, s, tau in nodes:
-            if descends(yinv, yt, k, n):
-                yinv, yt = step(yinv, yt, s, tau)
+            j = yinv[k]
+            p = n + yp[j]
+            if p < 0 or (p == 0 and j >= npos):
+                yinv, yt, yp = step(yinv, yt, yp, s, tau)
                 ly -= 1
-                if descends(xinv, xt, k, n):
-                    xinv, xt = step(xinv, xt, s, tau)
+                j = xinv[k]
+                p = n + xp[j]
+                if p < 0 or (p == 0 and j >= npos):
+                    xinv, xt, xp = step(xinv, xt, xp, s, tau)
                     lx -= 1
+                    common += 1
                 break
         else:
             raise AssertionError("no descent found for a non-identity element")
 
 
+def _cut_common_suffix(rs: RootSystem, xs: tuple, ys: tuple):
+    """The walk states (w^{-1} perm, lam, pr, length) of x z^{-1} and y z^{-1},
+    or None.  With v the chamber of both, x = (w v) t_mu v^{-1}, and z =
+    t_kappa v^{-1}, kappa = m base (``_sreg_base``, a negative multiple of
+    rho^vee) for the largest m keeping both mu - kappa regular antidominant;
+    x z^{-1} = (w v) t_{mu - kappa}, certified l(x z^{-1}) = l(x) - l(z)."""
+    v = _chamber(rs, xs[2])
+    if _chamber(rs, ys[2]) is not v:
+        return None
+    vperm, vinv = v.perm, v.inverse()
+    base = _sreg_base(rs)
+    bp = root_pairings(rs, base)
+    b = -bp[rs.simple_index[0]]
+    # <mu - m base, alpha_i> = pr[v.perm[s_i]] + m b
+    m = min((-pr[vperm[s]] - 1) // b for _, _, pr, _ in (xs, ys) for s in rs.simple_index)
+    if m < 1:
+        return None
+    kappa = tuple(m * c for c in base)
+    lz = length(AffineElt(vinv, v.act_coroot(kappa)))  # t_kappa v^{-1} = v^{-1} t_{v kappa}
+    out = []
+    for winv, lam, pr, lw in (xs, ys):
+        winv = tuple(map(vinv.perm.__getitem__, winv))  # (w v)^{-1} = v^{-1} w^{-1}
+        lam = tuple(a - c for a, c in zip(vinv.act_coroot(lam), kappa))
+        if length(AffineElt(WeylElt(rs, winv).inverse(), lam)) != lw - lz:
+            return None
+        out.append((winv, lam, tuple(pr[j] - m * q for j, q in zip(vperm, bp)), lw - lz))
+    return out
+
+
 def reduced_word(x: AffineElt) -> tuple[int, ...]:
     """A reduced word over I_af (0 = affine node, i = finite node i).
 
-    Node i, alpha_i = a + n delta, is a right descent of w t_lam iff
-    x . alpha_i = w a + (n - <lam, a>) delta < 0: the level is below 0, or
-    is 0 with w a negative.
+    Walks (w perm, pr = root_pairings(rs, lam)).  Node i, alpha_i = a +
+    n delta with a of index k, is a right descent of w t_lam iff
+    x . alpha_i = w a + (n - pr[k]) delta < 0.  The step (w t_lam)(s t_tau) =
+    (w s) t_{s lam + tau} permutes pr by s and, at node 0, adds the row of tau
+    in ``_coroot_rows``.
     """
     rs = x.rs
-    nodes, rows = _left_descent_data(rs)
+    nodes = _left_descent_data(rs)
+    crows = _coroot_rows(rs)
     npos = len(rs.positive_roots)
+    perm, pr = x.w.perm, root_pairings(rs, x.t)
     out = []
     lx = length(x)
     while lx > 0:
-        perm, t = x.w.perm, x.t
-        for i, (k, n, _s, _tau) in enumerate(nodes):
-            lvl = n - sum(map(mul, t, rows[k]))
+        for i, (k, n, s, tau) in enumerate(nodes):
+            lvl = n - pr[k]
             if lvl < 0 or (lvl == 0 and perm[k] >= npos):
                 out.append(i)
-                x = x * affine_simple_reflection(rs, i)
+                perm, pr = tuple(map(perm.__getitem__, s)), tuple(map(pr.__getitem__, s))
+                if tau is not None:
+                    pr = tuple(map(add, pr, crows[tau]))
                 lx -= 1
                 break
         else:

@@ -26,17 +26,21 @@ def combo_axpy(dst: dict, key, s) -> None:
             del dst[key]
 
 
-def mutant(func, old: str, new: str):
+def mutant(func, old: str, new: str, *more: str):
     """``func`` with a planted fault: the one occurrence of ``old`` in its
-    source replaced by ``new``, compiled against a copy of its module's
-    namespace, so the package itself is left as it is."""
+    source replaced by ``new``, and so for each further ``old, new`` pair in
+    ``more``, compiled against a copy of its module's namespace, so the
+    package itself is left as it is."""
     lines, start = inspect.getsourcelines(func)
     src = textwrap.dedent("".join(lines))
-    if src.count(old) != 1:
-        raise ValueError(f"{old!r} occurs {src.count(old)} times in {func.__name__}")
+    edits = (old, new, *more)
+    for old, new in zip(edits[::2], edits[1::2], strict=True):
+        if src.count(old) != 1:
+            raise ValueError(f"{old!r} occurs {src.count(old)} times in {func.__name__}")
+        src = src.replace(old, new)
     ns = dict(func.__globals__)
     # blank lines in front keep the line numbers of tracebacks
-    exec(compile("\n" * (start - 1) + src.replace(old, new), inspect.getsourcefile(func), "exec"), ns)
+    exec(compile("\n" * (start - 1) + src, inspect.getsourcefile(func), "exec"), ns)
     return ns[func.__name__]
 
 

@@ -230,7 +230,8 @@ def test_adjugate_certifies_its_result():
 
 def test_table_certificates_survive_python_O(run_python):
     # explicit raises, so python -O cannot strip them: patch in a fault and
-    # the certificate of the Cartan tables, of W and of a reduced word fires
+    # the certificate of the adjugate (a wrong sign in its elimination), of W
+    # and of a reduced word fires
     code = "\n".join([
         "import sys",
         "from qaffine import cartan, weyl",
@@ -239,8 +240,10 @@ def test_table_certificates_survive_python_O(run_python):
         "        f()",
         "    except AssertionError as e:",
         "        print(sys.flags.optimize, e)",
+        "import inspect",
         "real_adj = cartan._adjugate",
-        "cartan._adjugate = lambda m: (real_adj(m)[0], real_adj(m)[1] + 1)",
+        "src = inspect.getsource(real_adj).replace('(p * x - f * y) // prev', '(p * x + f * y) // prev')",
+        "exec(src, cartan.__dict__)",
         "attempt(lambda: cartan.build('A2'))",
         "cartan._adjugate = real_adj",
         "cartan._weyl_order = lambda family, rank: 7",
@@ -251,7 +254,7 @@ def test_table_certificates_survive_python_O(run_python):
     ])
     out = run_python("-O", "-c", code).stdout
     assert out.splitlines() == [
-        "1 adjugate does not invert the Cartan matrix",
+        "1 adjugate does not invert the matrix",
         "1 enumerated 6 elements, expected |W| = 7",
         "1 descent word is not reduced",
     ]

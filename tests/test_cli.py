@@ -125,7 +125,7 @@ def test_bad_arguments_exit_2(capsys):
         (["qh", "product", "--type", "A2", "--u", "s9", "--v", "s1"], "letter 9"),
         (["weyl", "length", "--type", "A2", "--word", "0 1 7"], "letter 7"),
         (["gr", "j-class", "--type", "A1", "--w", "s1", "--t", "-1"], "margin needed 8, found -4"),
-        (["verify", "tilted", "--type", "A1"], "does not accept types"),
+        (["verify", "chevalley", "--type", "A1"], "does not accept types"),
         (["lm-map", "--n", "4", "--j", "0", "--partition", "1"], "j must lie in 1..n-1"),
         (["strange-dual", "--n", "4", "--j", "5", "--w", "s1"], "j must lie in 1..n-1"),
         (["verify", "compare", "--qdeg", "-1"], "qdeg must be at least 0"),

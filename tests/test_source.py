@@ -104,3 +104,26 @@ def test_only_the_kernel_accumulates_superregular_cocovers():
     assert not [name for name in ("chamber_decompose", "coordinates", "cocovers_superregular") if kernel in sites[name]]
     assert not [name for name in readers if walk in sites[name]]
     assert not sites["cocovers_superregular"], sites["cocovers_superregular"]
+
+
+def test_weyl_pairs_roots_only_through_root_pairings():
+    # every pairing <lam, alpha> of a coroot with a root that weyl reads is an
+    # entry of root_pairings(rs, lam), or of _coroot_rows, which holds
+    # root_pairings of each coroot: no other function reads the pairing rows
+    # or the Cartan matrix, multiplies through operator.mul, or calls
+    # RootSystem.pair or pair_root (the Bruhat walk and reduced_word step the
+    # pairings by permuting them and adding coroot rows)
+    tree = ast.parse((SRC / "weyl.py").read_text(), filename="weyl.py")
+    marks = {"pairing_rows", "cartan", "pair", "pair_root", "mul"}
+    sites: dict = {}
+    for top in tree.body:
+        if isinstance(top, ast.ImportFrom):
+            continue
+        for node in ast.walk(top):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in marks:
+                sites.setdefault(name, set()).add(top.name)
+    assert sites == {"pairing_rows": {"root_pairings"}, "mul": {"root_pairings"}}, sites
+    rows = next(top for top in tree.body if getattr(top, "name", None) == "_coroot_rows")
+    assert "root_pairings" in {node.func.id for node in ast.walk(rows)
+                               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutant
-from qaffine import cartan, peterson
+from qaffine import cartan, peterson, weyl
 from qaffine.cartan import AffineRoot
 from qaffine.coeffring import scalar_one
 from qaffine.nilhecke import is_central
-from qaffine.qbruhat import build_qbg, endpoint_for_pair, path_endpoint
+from qaffine.qbruhat import build_qbg, endpoint_for_pair, path_endpoint, tilted_leq
 from qaffine.weyl import (
     AffineElt,
     BudgetError,
@@ -530,22 +530,82 @@ def test_bruhat_leq_matches_subword_oracle(label, raw, data):
     assert bruhat_leq(y, x) == _subword_leq(rs, wy, reduced_word(x))
 
 
-DEEP_TYPES = {label: cartan.build(label) for label in ("A3", "G2")}
+def _spy_on_cut(monkeypatch):
+    """Record, per attempt of bruhat_leq to cut a common suffix, whether the
+    cut was taken."""
+    taken = []
+    real = weyl._cut_common_suffix
+
+    def spy(rs, xs, ys):
+        out = real(rs, xs, ys)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(weyl, "_cut_common_suffix", spy)
+    return taken
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(sorted(DEEP_TYPES)), st.data())
-def test_bruhat_leq_matches_length_recursion_on_deep_endpoints(label, data):
-    # the endpoints x(u, w) of the tilted-order check: superregular elements
-    # whose lengths run into the hundreds
-    rs = DEEP_TYPES[label]
+def _deep_endpoint_pairs(rs, rng, count, same):
+    """Pairs of endpoints x(u, w) of the tilted-order check: superregular
+    elements whose lengths run into the hundreds, in the chamber u of their
+    start.  With ``same`` both share their start and the pair is (x(u, v),
+    x(u, w)) for w on a geodesic from u to v, which walks long; else the
+    starts differ."""
     g = build_qbg(rs)
     W = enumerate_weyl(rs)
-    u, w, v = (data.draw(st.sampled_from(W)) for _ in range(3))
-    lam = superregular_antidominant(rs, units=max(g.distances_from(u).values()) + 1)
-    xw, xv = endpoint_for_pair(g, u, w, lam), endpoint_for_pair(g, u, v, lam)
-    assert bruhat_leq(xv, xw) == _bruhat_leq_by_lengths(xv, xw)
-    assert bruhat_leq(xw, xv) == _bruhat_leq_by_lengths(xw, xv)
+    for _ in range(count):
+        u, v = rng.choice(W), rng.choice(W)
+        if same:
+            u2, w = u, rng.choice([w for w in W if tilted_leq(g, u, w, v)])
+        else:
+            u2, w = rng.choice([w for w in W if w is not u]), rng.choice(W)
+        reach = max(max(g.distances_from(a).values()) for a in (u, u2))
+        lam = superregular_antidominant(rs, units=reach + 1)
+        yield endpoint_for_pair(g, u, v, lam), endpoint_for_pair(g, u2, w, lam)
+
+
+def test_bruhat_leq_matches_length_recursion_on_deep_endpoints(monkeypatch):
+    # pairs in one chamber shed a common suffix once their walk runs long;
+    # pairs in two chambers are refused the cut, and walk to the end
+    taken = _spy_on_cut(monkeypatch)
+    rng = random.Random(73)
+    for label in ("A3", "G2"):
+        rs = cartan.build(label)
+        for same in (True, False):
+            taken.clear()
+            for x, y in _deep_endpoint_pairs(rs, rng, 20, same):
+                assert bruhat_leq(x, y) == _bruhat_leq_by_lengths(x, y), (label, x, y)
+                assert bruhat_leq(y, x) == _bruhat_leq_by_lengths(y, x), (label, y, x)
+            if same:
+                assert any(taken), label
+            else:
+                assert taken and not any(taken), label
+
+
+def test_an_uncertified_deeper_cut_changes_the_order(monkeypatch):
+    # planted fault: kappa one unit deeper than regularity allows, and the
+    # length certificate skipped
+    monkeypatch.setattr(weyl, "_cut_common_suffix", mutant(
+        weyl._cut_common_suffix,
+        "(-pr[vperm[s]] - 1) // b for", "(-pr[vperm[s]] - 1) // b + 1 for",
+        "if length(AffineElt(WeylElt(rs, winv).inverse(), lam)) != lw - lz:", "if False:"))
+    rng = random.Random(74)
+    wrong = [(x, y) for label in ("A3", "G2")
+             for x, y in _deep_endpoint_pairs(cartan.build(label), rng, 20, True)
+             for x, y in ((x, y), (y, x))
+             if bruhat_leq(x, y) != _bruhat_leq_by_lengths(x, y)]
+    assert wrong
+
+
+def test_a_walk_without_the_pairing_update_fails_the_subword_oracle():
+    # planted fault: an affine-node step moves lam but not its pairings
+    broken = mutant(bruhat_leq, "pr = tuple(map(add, pr, crows[c]))", "pass")
+    rs = cartan.build("A2")
+    xs = [x for x in (AffineElt(w, t) for w in enumerate_weyl(rs) for t in [(0, 0), (-1, 0), (0, -1), (-1, -1)])
+          if length(x) <= 5]
+    words = {x: reduced_word(x) for x in xs}
+    wrong = [(x, y) for x in xs for y in xs if broken(x, y) != _subword_leq(rs, words[x], words[y])]
+    assert wrong
 
 
 def test_group_law():
