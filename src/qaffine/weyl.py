@@ -266,12 +266,6 @@ class AffineElt:
     def is_identity(self) -> bool:
         return self.w.is_identity() and not any(self.t)
 
-    def act(self, beta: AffineRoot) -> AffineRoot:
-        # (w t_lam)(mu + n delta) = w mu + (n - <lam, mu>) delta
-        rs = self.rs
-        return AffineRoot(self.w.act_root(beta.finite),
-                          beta.level - root_pairings(rs, self.t)[rs.root_index[beta.finite]])
-
     def translate(self, lam: CorootVec) -> "AffineElt":
         """Right multiplication by t_lam."""
         return AffineElt(self.w, tuple(a + b for a, b in zip(self.t, lam)))
@@ -554,8 +548,12 @@ def _left_descent_data(rs: RootSystem):
     return tuple(nodes)
 
 
-# common steps a walk of bruhat_leq takes before it tries to cut a common suffix
-_CUT_AFTER = 16
+# common steps a walk of bruhat_leq takes before it tries, once, to cut a common
+# suffix: an earlier try pays two chamber walks and two length certificates on
+# pairs that end soon anyway, a later one walks deep pairs longer; of 4, 8, 16
+# and 32, 8 was fastest on ``verify tilted --type B3`` and tied 16 on the
+# bruhat-parabolic benchmark
+_CUT_AFTER = 8
 
 
 def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
@@ -571,13 +569,13 @@ def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
     s t_tau, adds at node 0 a coroot to lam and its row of ``_coroot_rows``
     to pr.
 
-    After _CUT_AFTER common steps, a pair in one chamber sheds a common right
-    suffix z (``_cut_common_suffix``).  If l(x z^{-1}) = l(x) - l(z) and the
-    same for y, each letter of z, peeled from the right, is a right descent
-    of both, so x <= y iff x z^{-1} <= y z^{-1}.  ``length`` checks both
-    identities before the cut is taken, so the cut rests on the lifting
-    property alone, not on the tilted-order theorem that
-    ``qbruhat.verify_tilted_embedding`` tests through this order.
+    Once, after _CUT_AFTER common steps, a pair in one chamber sheds a
+    common right suffix z (``_cut_common_suffix``).  If l(x z^{-1}) =
+    l(x) - l(z) and the same for y, each letter of z, peeled from the right,
+    is a right descent of both, so x <= y iff x z^{-1} <= y z^{-1}.
+    ``length`` checks both identities before the cut is taken, so the cut
+    rests on the lifting property alone, not on the tilted-order theorem
+    that ``qbruhat.verify_tilted_embedding`` tests through this order.
     """
     rs = x.rs
     nodes = _left_descent_data(rs)
@@ -603,6 +601,7 @@ def bruhat_leq(x: AffineElt, y: AffineElt) -> bool:
         if ly == 0:  # ly falls by one a step, so the walk ends
             return False
         if common == _CUT_AFTER:
+            common += 1  # one attempt per walk, taken or refused
             cut = _cut_common_suffix(rs, (xinv, xt, xp, lx), (yinv, yt, yp, ly))
             if cut is not None:
                 (xinv, xt, xp, lx), (yinv, yt, yp, ly) = cut

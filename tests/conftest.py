@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from qaffine.cartan import AffineRoot
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -24,6 +26,13 @@ def combo_axpy(dst: dict, key, s) -> None:
             dst[key] = n
         else:
             del dst[key]
+
+
+def act(x, beta):
+    """x . beta for x = w t_lam and an affine root beta = mu + n delta:
+    w mu + (n - <lam, mu>) delta, paired through RootSystem.pair, the
+    reference kept apart from the pairing tables the package walks on."""
+    return AffineRoot(x.w.act_root(beta.finite), beta.level - x.rs.pair(x.t, beta.finite))
 
 
 def mutant(func, old: str, new: str, *more: str):

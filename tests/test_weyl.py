@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutant
+from conftest import act, mutant
 from qaffine import cartan, peterson, weyl
 from qaffine.cartan import AffineRoot
 from qaffine.coeffring import scalar_one
@@ -163,7 +163,7 @@ def test_grassmannian():
     assert r0.w == simple_reflection(rs1, 0) and r0.t == (-1,)
     assert is_grassmannian(r0)
     # oracle: r0 . alpha_1 > 0
-    assert r0.act(AffineRoot((1,), 0)).is_positive()
+    assert act(r0, AffineRoot((1,), 0)).is_positive()
 
     rs = cartan.build("A2")
     assert is_grassmannian(affine_identity(rs))
@@ -335,13 +335,13 @@ def _vector_inversions(x, roots):
 
 
 def _vector_reduced_word(x):
-    # the reference: right descents read off x . alpha_i through AffineElt.act
+    # the reference: right descents read off x . alpha_i through conftest.act
     rs = x.rs
     simple = [AffineRoot(tuple(-c for c in rs.theta), 1)]
     simple += [AffineRoot(rs.simple_root(i), 0) for i in range(rs.rank)]
     out = []
     while not x.is_identity():
-        i = next(i for i, beta in enumerate(simple) if not x.act(beta).is_positive())
+        i = next(i for i, beta in enumerate(simple) if not act(x, beta).is_positive())
         out.append(i)
         x = x * affine_simple_reflection(rs, i)
     return tuple(reversed(out))
@@ -545,17 +545,20 @@ def _spy_on_cut(monkeypatch):
     return taken
 
 
-def _deep_endpoint_pairs(rs, rng, count, same):
+def _deep_endpoint_pairs(rs, rng, count, kind):
     """Pairs of endpoints x(u, w) of the tilted-order check: superregular
     elements whose lengths run into the hundreds, in the chamber u of their
-    start.  With ``same`` both share their start and the pair is (x(u, v),
-    x(u, w)) for w on a geodesic from u to v, which walks long; else the
+    start.  Of ``kind`` "any", the pair is (x(u, v), x(u, w)) for u, w and v
+    drawn apart, so one chamber but mostly incomparable; of kind "geodesic",
+    w lies on a geodesic from u to v, which walks long; of kind "cross", the
     starts differ."""
     g = build_qbg(rs)
     W = enumerate_weyl(rs)
     for _ in range(count):
         u, v = rng.choice(W), rng.choice(W)
-        if same:
+        if kind == "any":
+            u2, w = u, rng.choice(W)
+        elif kind == "geodesic":
             u2, w = u, rng.choice([w for w in W if tilted_leq(g, u, w, v)])
         else:
             u2, w = rng.choice([w for w in W if w is not u]), rng.choice(W)
@@ -571,15 +574,15 @@ def test_bruhat_leq_matches_length_recursion_on_deep_endpoints(monkeypatch):
     rng = random.Random(73)
     for label in ("A3", "G2"):
         rs = cartan.build(label)
-        for same in (True, False):
+        for kind in ("any", "geodesic", "cross"):
             taken.clear()
-            for x, y in _deep_endpoint_pairs(rs, rng, 20, same):
+            for x, y in _deep_endpoint_pairs(rs, rng, 20, kind):
                 assert bruhat_leq(x, y) == _bruhat_leq_by_lengths(x, y), (label, x, y)
                 assert bruhat_leq(y, x) == _bruhat_leq_by_lengths(y, x), (label, y, x)
-            if same:
-                assert any(taken), label
-            else:
+            if kind == "cross":
                 assert taken and not any(taken), label
+            else:
+                assert any(taken), (label, kind)
 
 
 def test_an_uncertified_deeper_cut_changes_the_order(monkeypatch):
@@ -591,7 +594,8 @@ def test_an_uncertified_deeper_cut_changes_the_order(monkeypatch):
         "if length(AffineElt(WeylElt(rs, winv).inverse(), lam)) != lw - lz:", "if False:"))
     rng = random.Random(74)
     wrong = [(x, y) for label in ("A3", "G2")
-             for x, y in _deep_endpoint_pairs(cartan.build(label), rng, 20, True)
+             for kind in ("any", "geodesic")
+             for x, y in _deep_endpoint_pairs(cartan.build(label), rng, 20, kind)
              for x, y in ((x, y), (y, x))
              if bruhat_leq(x, y) != _bruhat_leq_by_lengths(x, y)]
     assert wrong
@@ -769,6 +773,10 @@ def test_affine_action_eq2():
         x = AffineElt(rng.choice(W), tuple(rng.randint(-3, 3) for _ in range(2)))
         mu = rng.choice(rs.positive_roots)
         n = rng.randint(-2, 2)
-        img = x.act(AffineRoot(mu, n))
+        img = act(x, AffineRoot(mu, n))
         assert img.finite == x.w.act_root(mu)
         assert img.level == n - rs.pair(x.t, mu)
+        # an action of the group: (x y) . beta = x . (y . beta)
+        y = AffineElt(rng.choice(W), tuple(rng.randint(-3, 3) for _ in range(2)))
+        assert act(x * y, AffineRoot(mu, n)) == act(x, act(y, AffineRoot(mu, n)))
+        assert act(x.inverse(), img) == AffineRoot(mu, n)
