@@ -8,10 +8,12 @@ Vectors live in three integer coordinate systems:
 
 All three are plain tuples of ints.  The Cartan matrix convention is
 ``cartan[i][j] = <alpha_i^vee, alpha_j>``.
+
+One fraction-free elimination, ``_eliminate``, gives the certified Cartan
+adjugates and, through ``solve_integral``, the Schubert-polynomial layers.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import wraps
 from math import factorial
 from operator import mul
@@ -117,61 +119,54 @@ def _weyl_order(family: str, rank: int) -> int:
     return 12  # G2
 
 
-def solve_rational(rows, cols, mat, targets) -> list[list[Fraction]]:
-    """Exact solutions x of mat . x = t over Q, one per target t; free variables 0.
-
-    ``mat`` maps (row, col) labels to numbers and each target maps row labels
-    to numbers.  One Gauss-Jordan elimination serves every target: its pivots
-    depend on mat alone.
+def _eliminate(a: list[list[int]], nc: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss, Math. Comp. 22 (1968)) Gauss-Jordan on the
+    integer rows ``a``, in place, over the first ``nc`` columns: a column
+    pivots on the current row when that entry is nonzero, else on the first
+    nonzero entry below, else is skipped.  Every other row is cleared on it and
+    divided exactly by the previous pivot, so every pivot entry ends as one d.
+    Returns (pivot columns in row order, d); later rows end 0 on those columns.
     """
-    nr, nc = len(rows), len(cols)
-    m = [[Fraction(mat.get((r, c), 0)) for c in cols] + [Fraction(t.get(r, 0)) for t in targets] for r in rows]
-    piv_of_col = {}
-    rr = 0
+    nr, cols, d = len(a), [], 1
     for c in range(nc):
-        piv = next((r for r in range(rr, nr) if m[r][c] != 0), None)
-        if piv is None:
+        r = len(cols)
+        i = r if r < nr and a[r][c] else next((i for i in range(r + 1, nr) if a[i][c]), None)
+        if i is None:
             continue
-        m[rr], m[piv] = m[piv], m[rr]
-        p = m[rr][c]
-        m[rr] = [x / p for x in m[rr]]
-        for r in range(nr):
-            if r != rr and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rr])]
-        piv_of_col[c] = rr
-        rr += 1
-        if rr == nr:
-            break
-    for r in range(nr):
-        if all(x == 0 for x in m[r][:nc]) and any(m[r][nc:]):
-            raise ValueError("inconsistent linear system")
-    return [[m[piv_of_col[c]][nc + k] if c in piv_of_col else Fraction(0) for c in range(nc)]
-            for k in range(len(targets))]
+        a[r], a[i] = a[i], a[r]
+        p, pivot_row = a[r][c], a[r]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        d = p
+        cols.append(c)
+    return cols, d
+
+
+def solve_integral(rows, cols, mat, targets) -> tuple[int, list[list[int]]]:
+    """(d, numerators), d > 0: the solutions x = numerators / d of mat . x = t,
+    one per target t, free variables 0; a ValueError if some t is out of reach.
+    ``mat`` maps (row, col) labels and each target row labels to ints; one
+    ``_eliminate`` serves every target, as its pivots depend on mat alone."""
+    nc = len(cols)
+    a = [[mat.get((r, c), 0) for c in cols] + [t.get(r, 0) for t in targets] for r in rows]
+    piv, d = _eliminate(a, nc)
+    if any(any(row[nc:]) for row in a[len(piv):]):
+        raise ValueError("inconsistent linear system")
+    s = 1 if d > 0 else -1  # row swaps can leave d negative
+    row_of = dict(zip(piv, a))
+    return s * d, [[s * row_of[c][nc + k] if c in row_of else 0 for c in range(nc)] for k in range(len(targets))]
 
 
 def _adjugate(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adj, det) with m . adj = det . 1, all integers, certified.
-
-    Fraction-free (Bareiss, Math. Comp. 22 (1968)) Gauss-Jordan elimination on
-    [m | 1]: step k makes column k vanish off the diagonal and divides every
-    other row exactly by the previous pivot, so [m | 1] ends as [det . 1 | adj].
-    No pivoting is needed, as every leading principal minor of a finite-type
-    Cartan matrix is positive.
+    """(adj, det) with m . adj = det . 1, all integers, certified:
+    ``_eliminate`` on [m | 1] ends at [det . 1 | adj], with no row swap, as
+    every leading principal minor of a finite-type Cartan matrix is positive.
     """
     n = len(m)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        p, pivot_row = a[k][k], a[k]
-        if p <= 0:
-            raise AssertionError("leading principal minor of a Cartan matrix must be positive")
-        for i, row in enumerate(a):
-            if i != k:
-                f = row[k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = p
-    det = prev
+    _, det = _eliminate(a, n)
     adj = tuple(tuple(row[n:]) for row in a)
     cols = tuple(zip(*adj))
     if any(sum(map(mul, row, col)) != det * (i == j) for i, row in enumerate(m) for j, col in enumerate(cols)):
@@ -251,10 +246,6 @@ class RootSystem:
             raise ValueError(f"{alpha} is not a root of {self.label}") from None
 
     # -- basis conversions ----------------------------------------------
-    def weight_to_root_basis(self, mu: WeightVec) -> tuple[Fraction, ...]:
-        """Coordinates of mu in the simple-root basis (rational in general)."""
-        return tuple(Fraction(sum(a * m for a, m in zip(row, mu)), self.cartan_det) for row in self.cartan_adj)
-
     def root_lattice_check(self, mu: WeightVec) -> RootVec:
         """mu as an integral RootVec; raises if mu is not in the root lattice."""
         det = self.cartan_det

@@ -113,11 +113,16 @@ def _merge_negative_values(argv):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # here and in every subparser: one error: line, exit 2
+        self.exit(2, f"error: {message}\n")
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qaffine",
         description=__doc__,
         epilog=(
@@ -225,6 +230,8 @@ def _grassmannian(n: int, j: int):
     """A_{n-1} and the maximal parabolic of Gr(j, n): I_P leaves out node j."""
     from .parabolic import build_parabolic
 
+    if not 2 <= n <= 9:
+        raise ValueError(f"n must lie in 2..9, got n = {n}")
     rs = cartan.build(f"A{n - 1}")
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in 1..n-1, got j = {j} with n = {n}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import add
 
-from .cartan import CorootVec, RootSystem, WeightVec, cached, solve_rational
+from .cartan import CorootVec, RootSystem, WeightVec, cached, solve_integral
 from .coeffring import (
     Scalar,
     divide_raw,
@@ -108,7 +108,9 @@ class QSchubertPoly:
 
 class _PolyTable:
     """Polynomials of every element up to length ``built``, extended a layer
-    at a time; the elimination for a layer needs every shorter polynomial."""
+    at a time; the elimination for a layer needs every shorter polynomial.
+    ``solve_integral`` gives a layer's solutions as integer numerators over
+    one denominator, so each polynomial is built on ints alone."""
 
     __slots__ = ("by_len", "polys", "built")
 
@@ -130,18 +132,17 @@ class _PolyTable:
                 for a, avee, ur in cover_table(rs, u)[0]:
                     if avee[i]:
                         mat[(ur, (u, i))] = mat.get((ur, (u, i)), 0) + avee[i]
-            sols = solve_rational(layer, unknowns, mat, [{target: 1} for target in layer])
+            den, sols = solve_integral(layer, unknowns, mat, [{target: 1} for target in layer])
             for target, sol in zip(layer, sols):
                 parts = [(x, u, i) for x, (u, i) in zip(sol, unknowns) if x]
-                # one common denominator for every multiplier, so the sum runs on ints
-                den = lcm(*(x.denominator * polys[u].den for x, u, _ in parts),
-                          *(x.denominator * polys[ur].den
-                            for x, u, i in parts for _a, avee, ur in cover_table(rs, u)[1] if avee[i]))
+                # one common denominator den * pden for every multiplier x / den, so the sum runs on ints
+                pden = lcm(*(polys[u].den for _, u, _ in parts),
+                           *(polys[ur].den for _, u, i in parts for _a, avee, ur in cover_table(rs, u)[1] if avee[i]))
                 acc: dict = {}
                 for x, u, i in parts:
                     # x * omega_i * S_u, minus the equivariant and quantum corrections
                     pu = polys[u]
-                    m = x.numerator * (den // (x.denominator * pu.den))
+                    m = x * (pden // pu.den)
                     for (q, word), c in pu.num.items():
                         packed_axpy(acc, (q, tuple(sorted(word + (i,)))), c, m)
                     d = (omega_diff(rs, i, u) * -m).packed
@@ -151,10 +152,10 @@ class _PolyTable:
                     for _a, avee, ur in cover_table(rs, u)[1]:
                         if avee[i]:
                             pr = polys[ur]
-                            k = -x.numerator * avee[i] * (den // (x.denominator * pr.den))
+                            k = -x * avee[i] * (pden // pr.den)
                             for (q, word), c in pr.num.items():
                                 packed_axpy(acc, (tuple(map(add, q, avee)), word), c, k)
-                tden, tnum = reduced_form(den, settle(acc))
+                tden, tnum = reduced_form(den * pden, settle(acc))
                 polys[target] = QSchubertPoly(target, tnum, tden)
             self.built = l
 

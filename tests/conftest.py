@@ -2,6 +2,7 @@ import inspect
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,43 @@ def act(x, beta):
     w mu + (n - <lam, mu>) delta, paired through RootSystem.pair, the
     reference kept apart from the pairing tables the package walks on."""
     return AffineRoot(x.w.act_root(beta.finite), beta.level - x.rs.pair(x.t, beta.finite))
+
+
+def weight_to_root_basis(rs, mu):
+    """Coordinates of the weight mu in the simple-root basis (rational in
+    general), read off the Cartan adjugate."""
+    return tuple(Fraction(sum(a * m for a, m in zip(row, mu)), rs.cartan_det) for row in rs.cartan_adj)
+
+
+def solve_rational(rows, cols, mat, targets) -> list[list[Fraction]]:
+    """Exact solutions x of mat . x = t over Q, one per target t; free
+    variables 0: Gauss-Jordan on a dense Fraction matrix, the reference kept
+    apart from the package's fraction-free ``cartan.solve_integral``.  Raises
+    ValueError("inconsistent linear system") as it does."""
+    nr, nc = len(rows), len(cols)
+    m = [[Fraction(mat.get((r, c), 0)) for c in cols] + [Fraction(t.get(r, 0)) for t in targets] for r in rows]
+    piv_of_col = {}
+    rr = 0
+    for c in range(nc):
+        piv = next((r for r in range(rr, nr) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rr], m[piv] = m[piv], m[rr]
+        p = m[rr][c]
+        m[rr] = [x / p for x in m[rr]]
+        for r in range(nr):
+            if r != rr and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rr])]
+        piv_of_col[c] = rr
+        rr += 1
+        if rr == nr:
+            break
+    for r in range(nr):
+        if all(x == 0 for x in m[r][:nc]) and any(m[r][nc:]):
+            raise ValueError("inconsistent linear system")
+    return [[m[piv_of_col[c]][nc + k] if c in piv_of_col else Fraction(0) for c in range(nc)]
+            for k in range(len(targets))]
 
 
 def mutant(func, old: str, new: str, *more: str):

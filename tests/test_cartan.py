@@ -1,10 +1,11 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import mutant
+from conftest import mutant, solve_rational, weight_to_root_basis
 from qaffine import cartan
 from qaffine.weyl import (
     enumerate_weyl,
@@ -115,9 +116,7 @@ def test_coroot_of_short_root_b2():
 
 def test_weight_to_root_basis():
     rs = cartan.build("A2")
-    from fractions import Fraction
-
-    assert rs.weight_to_root_basis((1, 0)) == (Fraction(2, 3), Fraction(1, 3))
+    assert weight_to_root_basis(rs, (1, 0)) == (Fraction(2, 3), Fraction(1, 3))
     with pytest.raises(ValueError):
         rs.root_lattice_check((1, 0))
 
@@ -196,7 +195,7 @@ def _rational_adjugate(m):
         for i in range(k + 1, len(m)):
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    rows = cartan.solve_rational(idx, idx, {(i, j): m[j][i] for i in idx for j in idx}, [{i: 1} for i in idx])
+    rows = solve_rational(idx, idx, {(i, j): m[j][i] for i in idx for j in idx}, [{i: 1} for i in idx])
     return tuple(tuple(int(x * det) for x in row) for row in rows), int(det)
 
 
@@ -218,14 +217,62 @@ def test_adjugate_matches_the_rational_inverse_on_every_principal_submatrix():
     assert count == 2200
 
 
-def test_adjugate_certifies_its_result():
+def test_solve_integral_matches_the_rational_reference():
+    # the fraction-free solve against Gauss-Jordan over Q on seeded random
+    # integer systems: square and not, rank-deficient (a row or column
+    # repeated as a combination of others), zero and negative pivots, and
+    # inconsistent targets, which both sides must refuse
+    rng = random.Random(34)
+    seen = {"deficient": 0, "inconsistent": 0, "zero pivot": 0, "negative pivot": 0}
+    for _ in range(1500):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(nc)] for _ in range(nr)]
+        deficient = False
+        if nr > 1 and rng.random() < 0.4:
+            i, j = rng.sample(range(nr), 2)
+            k = rng.choice((-2, -1, 1, 3))
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+            deficient = True
+        if nc > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(nc), 2)
+            for row in a:
+                row[i] = -row[j]
+            deficient = True
+        seen["deficient"] += deficient
+        seen["zero pivot"] += a[0][0] == 0
+        seen["negative pivot"] += a[0][0] < 0
+        rows, cols = [f"r{i}" for i in range(nr)], [f"c{j}" for j in range(nc)]
+        mat = {(r, c): a[i][j] for i, r in enumerate(rows) for j, c in enumerate(cols) if a[i][j]}
+        targets = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.7:  # in the column space
+                x = [rng.randint(-3, 3) for _ in range(nc)]
+                targets.append({r: sum(map(operator.mul, a[i], x)) for i, r in enumerate(rows)})
+            else:
+                targets.append({r: rng.randint(-4, 4) for r in rows})
+        try:
+            want = solve_rational(rows, cols, mat, targets)
+        except ValueError as e:
+            assert str(e) == "inconsistent linear system"
+            with pytest.raises(ValueError, match="inconsistent linear system"):
+                cartan.solve_integral(rows, cols, mat, targets)
+            seen["inconsistent"] += 1
+            continue
+        d, nums = cartan.solve_integral(rows, cols, mat, targets)
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for sol in nums for x in sol)
+        assert [[Fraction(x, d) for x in sol] for sol in nums] == want
+    assert all(n >= 100 for n in seen.values()), seen
+
+
+def test_adjugate_certifies_its_result(monkeypatch):
     # planted fault: an elimination that skips its exact division ends with
-    # the right block and the pivot at different multiples of adj and det,
-    # which the certificate rejects
-    wrong = mutant(cartan._adjugate, "// prev", "// 1")
+    # pivot entries at different multiples of det, and the right block at a
+    # different multiple of adj, which the certificate rejects
+    monkeypatch.setattr(cartan, "_eliminate", mutant(cartan._eliminate, "// d", "// 1"))
     for family, rank in [("A", 2), ("A", 3), ("B", 3), ("G", 2)]:
         with pytest.raises(AssertionError, match="adjugate does not invert the matrix"):
-            wrong(cartan._cartan_matrix(family, rank))
+            cartan._adjugate(cartan._cartan_matrix(family, rank))
 
 
 def test_table_certificates_survive_python_O(run_python):
@@ -241,11 +288,11 @@ def test_table_certificates_survive_python_O(run_python):
         "    except AssertionError as e:",
         "        print(sys.flags.optimize, e)",
         "import inspect",
-        "real_adj = cartan._adjugate",
-        "src = inspect.getsource(real_adj).replace('(p * x - f * y) // prev', '(p * x + f * y) // prev')",
+        "real_eliminate = cartan._eliminate",
+        "src = inspect.getsource(real_eliminate).replace('(p * x - f * y) // d', '(p * x + f * y) // d')",
         "exec(src, cartan.__dict__)",
         "attempt(lambda: cartan.build('A2'))",
-        "cartan._adjugate = real_adj",
+        "cartan._eliminate = real_eliminate",
         "cartan._weyl_order = lambda family, rank: 7",
         "attempt(lambda: weyl.enumerate_weyl(cartan.build('A2')))",
         "w = weyl.from_word(cartan.build('B2'), [0, 1])",

@@ -138,10 +138,20 @@ def test_bad_arguments_exit_2(capsys):
         (["gr", "j-class", "--type", "A1", "--w", "s1", "--t", "x"], "'x' in 'x' is not an integer"),
         (["lm-map", "--n", "4", "--j", "2", "--partition", "2,x"], "'x' in '2,x' is not an integer"),
         (["weyl", "length", "--type", "A2", "--word", "s1 sx"], "'x' in 's1 sx' is not an integer"),
+        # argparse's own failures, in the parser and in a subparser
+        (["qh", "product", "--type", "A2", "--u", "s1", "s2", "--v", "s1"], "unrecognized arguments: s2"),
+        (["qh", "product", "--type", "A2", "--u", "s1"], "the following arguments are required: --v"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["lm-map", "--n", "x", "--j", "1", "--partition", "1"], "invalid int value: 'x'"),
+        (["lm-map", "--n", "0", "--j", "1", "--partition", "1"], "n must lie in 2..9, got n = 0"),
+        (["strange-dual", "--n", "10", "--j", "1", "--w", "s1"], "n must lie in 2..9, got n = 10"),
     ],
 )
 def test_malformed_input_exit_2_one_error_line(capsys, argv, needle):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits from inside parse_args
+        code = exc.code
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert code == 2 and captured.out == ""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import combo_axpy
+from conftest import combo_axpy, weight_to_root_basis
 from test_peterson import twisted_b, twisted_c
 from qaffine import cartan, nilhecke, peterson
 from qaffine.coeffring import MAX_EXP, Scalar, from_raw, packed_addmul, packed_axpy, scalar_one, settle, weight_diff
@@ -66,7 +66,7 @@ def commute_scalar(rs, x, mu):
     The diagonal coefficient x . mu is a weight; its root-basis coordinates
     may be fractional, so the resulting Scalar can carry Fractions.
     """
-    coords = rs.weight_to_root_basis(x.w.act_weight(mu))
+    coords = weight_to_root_basis(rs, x.w.act_weight(mu))
     diag = Scalar.linear(tuple(int(c) if c.denominator == 1 else c for c in coords))
     # the cocovers of x are distinct and differ from x, so each key is set once
     out = {x: diag} if diag else {}
@@ -168,7 +168,7 @@ def brute_commute(rs, x, mu):
     single-generator relation A_i lam = (r_i lam) A_i + <lam, alpha_i^vee>."""
     word = reduced_word(x)
     if not word:
-        coords = rs.weight_to_root_basis(mu)
+        coords = weight_to_root_basis(rs, mu)
         return {affine_identity(rs): Scalar.linear(tuple(int(c) if c.denominator == 1 else c for c in coords))}
     head, last = word[:-1], word[-1]
     xp = affine_from_word(rs, head)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import act
+from conftest import act, solve_rational
 from qaffine import cartan, parabolic
-from qaffine.cartan import AffineRoot, solve_rational
+from qaffine.cartan import AffineRoot
 from qaffine.coeffring import Scalar, scalar_one
 from qaffine.nilhecke import act_on_homology
 from qaffine.parabolic import (

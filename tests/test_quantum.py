@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import combo_axpy
+from conftest import combo_axpy, mutant
 from qaffine import cartan, quantum
 from qaffine.coeffring import Scalar, from_raw, packed_axpy, scalar_one, settle
 from qaffine.quantum import (
@@ -155,6 +156,36 @@ def test_schubert_poly_roundtrip_rank3_low_length():
                 assert evaluate_poly(rs, poly) == qh_basis(rs, w)
 
 
+POLY_DIGESTS = {
+    "A2": "e8f45a4b8f1598e6",
+    "B2": "5c0eeabb7ca45c45",
+    "G2": "06ed37c34482ebf4",
+    "A3": "986a0a7dc33a76fe",
+    "B3": "44ee1fb66efc4895",
+    "C3": "2d331ea56d8d9780",
+    "D4": "61087c3b93a728ca",
+}
+
+
+def poly_digest(label: str) -> str:
+    """sha256 over every Weyl element w, by length and then reduced word, of
+    its certified Schubert polynomial: w, the denominator and the sorted
+    integer numerators."""
+    rs = cartan.build(label)
+    h = hashlib.sha256()
+    for w in sorted(enumerate_weyl(rs), key=lambda w: (w.length(), w.word())):
+        p = schubert_poly(rs, w)
+        num = sorted((k, sorted(t.items())) for k, t in p.num.items())
+        h.update(f"{w.word()}|{p.den}|{num};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_schubert_polynomials_match_their_pinned_digest(label):
+    # every polynomial of the table, pinned; CI checks D4's 192 the same way
+    assert poly_digest(label) == POLY_DIGESTS[label]
+
+
 def test_product_identity():
     rs = cartan.build("A2")
     for v in enumerate_weyl(rs):
@@ -266,6 +297,19 @@ def test_planted_wrong_coefficient_fails_the_round_trip():
     for u in table.by_len[4]:
         if u != w:
             assert evaluate_poly(rs, schubert_poly(rs, u)) == qh_basis(rs, u)
+
+
+@pytest.mark.parametrize("lbl", ["B2", "G2", "B3", "C3"])
+def test_an_elimination_without_its_exact_division_fails_the_round_trip(lbl, monkeypatch):
+    # planted fault in the one elimination: rows scaled by the pivot and never
+    # divided back leave the pivot entries at different multiples of d, so
+    # the layer's solutions read over d are wrong.  (A2 and A3 cannot show
+    # it: they pivot only on +-1.)
+    rs = cartan.build(lbl)
+    monkeypatch.setattr(cartan, "_eliminate", mutant(cartan._eliminate, "// d", "// 1"))
+    with pytest.raises(AssertionError, match="Schubert polynomial round-trip failed"):
+        for w in sorted(enumerate_weyl(rs), key=lambda w: w.length()):
+            schubert_poly(rs, w)
 
 
 def test_product_basis_refuses_a_non_integral_product():
