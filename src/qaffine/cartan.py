@@ -125,7 +125,7 @@ def _eliminate(a: list[list[int]], nc: int) -> tuple[list[int], int]:
     pivots on the current row when that entry is nonzero, else on the first
     nonzero entry below, else is skipped.  Every other row is cleared on it and
     divided exactly by the previous pivot, so every pivot entry ends as one d.
-    Returns (pivot columns in row order, d); later rows end 0 on those columns.
+    Returns (pivot columns in row order, d); later rows end 0 on all nc columns.
     """
     nr, cols, d = len(a), [], 1
     for c in range(nc):
@@ -154,7 +154,7 @@ def solve_integral(rows, cols, mat, targets) -> tuple[int, list[list[int]]]:
     piv, d = _eliminate(a, nc)
     if any(any(row[nc:]) for row in a[len(piv):]):
         raise ValueError("inconsistent linear system")
-    s = 1 if d > 0 else -1  # row swaps can leave d negative
+    s = 1 if d > 0 else -1  # d is a minor of mat, of either sign
     row_of = dict(zip(piv, a))
     return s * d, [[s * row_of[c][nc + k] if c in row_of else 0 for c in range(nc)] for k in range(len(targets))]
 
