@@ -210,13 +210,6 @@ class Scalar:
         return Scalar._make({e: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
                              for e, c in self._t.items()}, self._r)
 
-    def to_int_coeffs(self) -> "Scalar":
-        s = self.with_int_coeffs()
-        for c in s._t.values():
-            if isinstance(c, Fraction):
-                raise ValueError(f"non-integral coefficient {c}")
-        return s
-
     def exact_divide_by_linear(self, lin: "Scalar") -> "Scalar":
         """Quotient self / lin for a nonzero linear form lin; exact or raises."""
         if not lin or lin.degree() != 1 or not lin.is_homogeneous(1):

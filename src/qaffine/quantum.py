@@ -13,7 +13,10 @@ trie of its words, with the one kernel ``chevalley_into`` as its step (the
 affine route runs it with the Bruhat operators); the denominator divides
 once, at the root.  A product applies the shorter factor's polynomial to the
 other factor's class, or the longer factor's where that one is already
-certified and has fewer terms.
+certified and has fewer terms; it is cached by that evaluation, not by the
+ordered pair, so both orders share one Horner pass wherever they name the
+same evaluation, and a cached product is always the evaluation the rule names
+for the ordered pair asked.
 """
 
 from dataclasses import dataclass
@@ -223,7 +226,6 @@ def evaluate_poly(rs: RootSystem, poly: QSchubertPoly, start: QHClass | None = N
     return from_raw(rs, divide_raw(root, poly.den))
 
 
-@cached("qhprod")
 def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
     """sigma^u * sigma^v.
 
@@ -233,14 +235,25 @@ def product_basis(rs: RootSystem, u: WeylElt, v: WeylElt) -> QHClass:
     u's would.  The longer factor's polynomial is read only where
     ``schubert_poly`` has already certified it, and then the polynomial with
     fewer terms is evaluated, ties going to the shorter factor.
+
+    The result is cached by the evaluation that rule names, not by the
+    ordered pair, so sigma^v sigma^u reads the evaluation sigma^u sigma^v ran
+    whenever the rule names the same one for both orders; where the orders
+    name different evaluations (equal lengths and a tie in terms), each runs
+    its own.  A cached value is always the evaluation this call would run.
     """
-    short, other = (v, u) if v.length() < u.length() else (u, v)
-    poly = schubert_poly(rs, short)
+    owner, start = (v, u) if v.length() < u.length() else (u, v)
     # cached() keeps schubert_poly's results under ("qschub", w)
-    known = rs._cache.get(("qschub", other))
-    if known is not None and len(known.num) < len(poly.num):
-        poly, other = known, short
-    out = evaluate_poly(rs, poly, qh_basis(rs, other))
+    known = rs._cache.get(("qschub", start))
+    if known is not None and len(known.num) < len(schubert_poly(rs, owner).num):
+        owner, start = start, owner
+    return _evaluated_product(rs, owner, start)
+
+
+@cached("qhprod")
+def _evaluated_product(rs: RootSystem, owner: WeylElt, start: WeylElt) -> QHClass:
+    """The certified polynomial of ``owner`` applied to sigma^start."""
+    out = evaluate_poly(rs, schubert_poly(rs, owner), qh_basis(rs, start))
     # rational bookkeeping must cancel: structure constants live in Z[alpha]
     require_integral(c.packed for c in out.values())
     return out

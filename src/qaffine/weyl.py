@@ -339,17 +339,6 @@ def is_grassmannian(x: AffineElt) -> bool:
     return True
 
 
-def length_regular(u: WeylElt, w: WeylElt, lam: CorootVec) -> int:
-    """l(u t_{w lam}) for regular antidominant lam, via the closed formula."""
-    rs = u.rs
-    if not (rs.is_antidominant(lam) and rs.is_regular(lam)):
-        raise ValueError("lam must be regular antidominant")
-    val = length(translation(rs, lam)) - (u * w).length() + w.length()
-    if val != length(AffineElt(u, w.act_coroot(lam))):
-        raise AssertionError("closed length formula disagrees with the length")
-    return val
-
-
 def _inversions(x: AffineElt, ks):
     """The positive affine roots beta with x . beta < 0 over the positive roots
     of index k in ks and their negatives, each lowest level first.

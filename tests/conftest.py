@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qaffine.cartan import AffineRoot
+from qaffine.weyl import AffineElt, length, translation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,6 +35,29 @@ def act(x, beta):
     w mu + (n - <lam, mu>) delta, paired through RootSystem.pair, the
     reference kept apart from the pairing tables the package walks on."""
     return AffineRoot(x.w.act_root(beta.finite), beta.level - x.rs.pair(x.t, beta.finite))
+
+
+def to_int_coeffs(s):
+    """The Scalar s with every coefficient stored as an int; raises
+    ValueError on a non-integral one, as the package's one integrality pass
+    ``coeffring.require_integral`` does."""
+    s = s.with_int_coeffs()
+    for c in s.terms.values():
+        if isinstance(c, Fraction):
+            raise ValueError(f"non-integral coefficient {c}")
+    return s
+
+
+def length_regular(u, w, lam):
+    """l(u t_{w lam}) for regular antidominant lam, via the closed formula
+    l(t_lam) - l(u w) + l(w), checked against the length itself."""
+    rs = u.rs
+    if not (rs.is_antidominant(lam) and rs.is_regular(lam)):
+        raise ValueError("lam must be regular antidominant")
+    val = length(translation(rs, lam)) - (u * w).length() + w.length()
+    if val != length(AffineElt(u, w.act_coroot(lam))):
+        raise AssertionError("closed length formula disagrees with the length")
+    return val
 
 
 def weight_to_root_basis(rs, mu):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import combo_axpy, mutant
+from conftest import combo_axpy, mutant, to_int_coeffs
 from qaffine import cartan, quantum
 from qaffine.coeffring import Scalar, from_raw, packed_axpy, scalar_one, settle
 from qaffine.quantum import (
@@ -186,6 +186,36 @@ def test_schubert_polynomials_match_their_pinned_digest(label):
     assert poly_digest(label) == POLY_DIGESTS[label]
 
 
+PRODUCT_DIGESTS = {
+    "A2": "57ad9339d77cc85e",
+    "B2": "af070399032539cc",
+    "G2": "50bc914f34459028",
+    "A3": "2abbed4855b36498",
+    "B3": "e0440f55e93d6847",
+    "C3": "a3cfa40ff2e04cd9",
+}
+
+
+def product_digest(label: str) -> str:
+    """sha256 over every ordered pair (u, v) of Weyl elements, each by length
+    and then reduced word, of product_basis(u, v): its terms sorted by (w,
+    q-exponent), each with its sorted packed coefficients."""
+    rs = cartan.build(label)
+    W = sorted(enumerate_weyl(rs), key=lambda w: (w.length(), w.word()))
+    h = hashlib.sha256()
+    for u in W:
+        for v in W:
+            terms = sorted((w.word(), q, sorted(c.packed.items())) for (w, q), c in product_basis(rs, u, v).items())
+            h.update(f"{u.word()}|{v.word()}|{terms};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_product_table_matches_its_pinned_digest(label):
+    # every ordered pair, pinned; CI checks B3's and C3's the same way
+    assert product_digest(label) == PRODUCT_DIGESTS[label]
+
+
 def test_product_identity():
     rs = cartan.build("A2")
     for v in enumerate_weyl(rs):
@@ -234,6 +264,7 @@ def test_product_basis_evaluates_the_smaller_polynomial(monkeypatch):
     small, big = schubert_poly(rs, s1), schubert_poly(rs, w0)
     assert len(small.num) < len(big.num)
     prefixes = {word[:k] for (_q, word) in small.num for k in range(1, len(word) + 1)}
+    expected = evaluate_poly(rs, big, qh_basis(rs, s1))
     calls = []
     real = quantum.chevalley_into
 
@@ -242,11 +273,75 @@ def test_product_basis_evaluates_the_smaller_polynomial(monkeypatch):
         return real(rs, i, raw, out)
 
     monkeypatch.setattr(quantum, "chevalley_into", counting)
-    for u, v in [(w0, s1), (s1, w0)]:
-        calls.clear()
-        got = product_basis(rs, u, v)
-        assert len(calls) == len(prefixes) == 1, (u, v)
-        assert got == evaluate_poly(rs, big, qh_basis(rs, s1))
+    first = product_basis(rs, w0, s1)
+    assert len(calls) == len(prefixes) == 1
+    assert first == expected
+    # both orders name the same evaluation, so the second reads the cached one
+    calls.clear()
+    assert product_basis(rs, s1, w0) is first
+    assert not calls
+
+
+# evaluations in an all-pairs sweep: one per unordered pair, plus one more
+# for each tie pair, whose two orders name different evaluations (equal
+# lengths and a tie in terms)
+SWEEP_EVALUATIONS = {"A2": (22, 1), "B2": (37, 1), "G2": (79, 1), "A3": (307, 7)}
+
+
+def _assert_product_cache(lbl, product_basis, monkeypatch):
+    """Every ordered pair of ``lbl`` through ``product_basis``, with every
+    polynomial certified first: each result is the cached evaluation that
+    the rule of ``quantum.product_basis`` names for that ordered pair, each
+    named evaluation runs once, and both of a tie pair's evaluations run."""
+    count, ties = SWEEP_EVALUATIONS[lbl]
+    rs = cartan.build(lbl)
+    W = sorted(enumerate_weyl(rs), key=lambda w: (w.length(), w.word()))
+    polys = {w: schubert_poly(rs, w) for w in W}
+
+    def named(u, v):
+        # the shorter factor's polynomial (u's on equal lengths), or the
+        # other's where it has fewer terms, applied to the other class
+        short, other = (v, u) if v.length() < u.length() else (u, v)
+        return (other, short) if len(polys[other].num) < len(polys[short].num) else (short, other)
+
+    ran = []
+    real = quantum.evaluate_poly
+
+    def recording(rs, poly, start=None):
+        (v, _q), = start
+        ran.append((poly.w, v))
+        return real(rs, poly, start)
+
+    monkeypatch.setattr(quantum, "evaluate_poly", recording)
+    rule = {}
+    for u in W:
+        for v in W:
+            got = product_basis(rs, u, v)
+            owner, start = rule[(u, v)] = named(u, v)
+            assert got == real(rs, polys[owner], qh_basis(rs, start)), (lbl, u, v)
+            assert got is rs._cache.get(("qhprod", owner, start)), (lbl, u, v)
+    assert len(ran) == len(set(ran)) == count
+    assert set(ran) == set(rule.values())
+    tie_pairs = [(u, v) for (u, v), e in rule.items() if e != rule[(v, u)]]
+    assert len(tie_pairs) == 2 * ties
+    assert all(rule[p] in ran for p in tie_pairs)
+
+
+@pytest.mark.parametrize("lbl", sorted(SWEEP_EVALUATIONS))
+def test_product_cache_holds_the_evaluation_each_order_names(lbl, monkeypatch):
+    _assert_product_cache(lbl, quantum.product_basis, monkeypatch)
+
+
+def test_a_product_cache_keyed_by_the_unordered_pair_fails_the_invariant(monkeypatch):
+    # planted fault: a cache in front keyed by {u, v} hands the second order
+    # of a tie pair the first order's evaluation
+    keyed = mutant(quantum.product_basis, "return _evaluated_product(rs, owner, start)",
+                   "return rs._cache[k] if (k := ('pair', frozenset((u, v)))) in rs._cache"
+                   " else rs._cache.setdefault(k, _evaluated_product(rs, owner, start))")
+    for lbl in SWEEP_EVALUATIONS:
+        with pytest.raises(AssertionError):
+            _assert_product_cache(lbl, keyed, monkeypatch)
+        monkeypatch.undo()
 
 
 def test_product_basis_extracts_only_the_shorter_polynomial():
@@ -405,7 +500,7 @@ def test_product_and_evaluate_match_per_term_reference():
                 ref = _reference_evaluate(rs, poly.terms, qh_basis(rs, v))
                 assert evaluate_poly(rs, poly, qh_basis(rs, v)) == ref
                 got = product_basis(rs, u, v)
-                assert got == {k: c.to_int_coeffs() for k, c in ref.items()}
+                assert got == {k: to_int_coeffs(c) for k, c in ref.items()}
                 assert all(type(x) is int for c in got.values() for x in c.terms.values())
 
 

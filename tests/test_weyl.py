@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import act, mutant
+from conftest import act, length_regular, mutant
 from qaffine import cartan, peterson, weyl
 from qaffine.cartan import AffineRoot
 from qaffine.coeffring import scalar_one
@@ -33,7 +33,6 @@ from qaffine.weyl import (
     is_grassmannian,
     is_superregular,
     length,
-    length_regular,
     longest_element,
     reduced_word,
     reflection_of,
